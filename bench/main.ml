@@ -392,10 +392,11 @@ let explore_scale_json_table () =
 (* Flat-engine throughput under the open-system workload driver — the
    figures the struct-of-arrays refactor is judged by: states/second,
    resident bytes per process, and minor-heap words allocated per step.
-   The engine itself allocates nothing in steady state; what remains is
-   the bounded constant the free-monad interpretation costs per effect
-   (continuation closures and the boxed result), independent of n and k —
-   CI asserts the per-step figure stays a small constant. *)
+   The engine's billing allocates nothing; the words come from
+   interpreting the program — the Step node and its continuation, the
+   bind closures around it, the vec handle — and from [Op.execute]'s
+   result record, and measure 38–44 per step on these rows, independent
+   of n and k.  CI bounds them at 56. *)
 let load_json_table () =
   let scenario algorithm model =
     let m = Option.get (Core.Experiment.find_algorithm algorithm) in
@@ -441,8 +442,8 @@ let load_json_table () =
 
 (* Counter-plane overhead on the flat path: the load part's cc-flag
    scenario run twice, counters off and counters on.  CI gates the
-   minor-words/step figure on BOTH rows — arming the planes must not
-   reintroduce steady-state allocation — and the hot-cell columns give the
+   minor-words/step figure on BOTH rows — arming the planes must add no
+   allocation per step — and the hot-cell columns give the
    profile layer a committed baseline (cc-flag concentrates its RMRs on
    one cell). *)
 let profile_json_table () =
@@ -503,8 +504,8 @@ let profile_json_table () =
     ~title:
       "Counter-plane overhead on the flat path (cc-flag cc-wt, k=10000)"
     ~claim:
-      "arming Obs.Counters keeps the flat engine allocation-free per step \
-       and costs only marginal throughput"
+      "arming Obs.Counters adds no minor words per step (equal on both \
+       rows)"
     ~params:Core.Results.[ ("k", int 10_000); ("signals", int 16) ]
     ~columns:
       Core.Results.

@@ -11,9 +11,8 @@
    per-pid tables, per-pc tables, message attribution) in O(planes) space.
 
    Hot-path discipline: a bump is index arithmetic plus an unsafe array
-   write — no allocation, so the flat engine's zero-steady-state-allocation
-   property (and the minor_words/step CI gate) survives with counters
-   enabled. *)
+   write — no allocation, so the flat engine's minor words per step (and
+   the minor_words/step CI gate) are the same with counters enabled. *)
 
 type cls = Rmr | Local | Fetch | Invalidate | Update | Crash
 

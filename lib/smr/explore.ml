@@ -255,6 +255,15 @@ let fp_equal a b =
    below. *)
 let mix h x = (((h * 31) + x + 1) * 0x2545F491) land max_int
 
+(* MurmurHash3's 64-bit finalizer with its constants cut to OCaml's 63-bit
+   ints; mirrors [Memory]'s.  Applied to each slot hash before the slots
+   are summed, because [mix] is affine: a sum of raw slot hashes is
+   unchanged when two pids swap their control states. *)
+let fmix h =
+  let h = (h lxor (h lsr 33)) * 0x7f51afd7ed558ccd in
+  let h = (h lxor (h lsr 33)) * 0x44ceb9fe1a85ec53 in
+  h lxor (h lsr 33)
+
 (* The generic [Hashtbl.hash] is unusable here: its traversal is capped at
    256 nodes, and deep in a spin loop every state shares the same 256-node
    prefix, so all keys collide and probes degrade to long structural
@@ -266,26 +275,27 @@ let mix h x = (((h * 31) + x + 1) * 0x2545F491) land max_int
 let rec hash_snap (s : int array) i h =
   if i >= Array.length s then h else hash_snap s (i + 1) (mix h s.(i))
 
-(* Hash of one process's control point, salted by its pid.  The state hash
-   is the plain integer sum of the slot hashes (plus [Memory.fp_hash]):
-   addition commutes, so the sum can be maintained incrementally — each
-   move changes exactly one slot, and [apply_move] swaps that slot's
-   contribution out and in — making the per-node hashing cost O(1) slots
-   instead of a walk over all of them.  The weaker mixing of a sum is
-   acceptable for the same reason every other hash here is: [fp_equal]
-   decides matches exactly, collisions cost time, never soundness. *)
+(* Hash of one process's control point, salted by its pid and finalized
+   by [fmix].  The state hash is the plain integer sum of the slot hashes
+   (plus [Memory.fp_hash]): addition commutes, so the sum can be maintained
+   incrementally — each move changes exactly one slot, and [apply_move]
+   swaps that slot's contribution out and in — making the per-node hashing
+   cost O(1) slots instead of a walk over all of them.  [fp_equal] decides
+   matches exactly, so collisions cost time, never soundness. *)
 let slot_hash (i : int) = function
   | P_idle (c, r) ->
-    mix
-      (mix (mix ((i + 1) * 0x9E3779B9) 5) c)
-      (match r with None -> min_int | Some v -> v)
-  | P_running m ->
-    hash_snap m.snap 0
+    fmix
       (mix
+         (mix (mix ((i + 1) * 0x9E3779B9) 5) c)
+         (match r with None -> min_int | Some v -> v))
+  | P_running m ->
+    fmix
+      (hash_snap m.snap 0
          (mix
-            (mix (mix (mix ((i + 1) * 0x9E3779B9) 7) m.label_h) m.seq)
-            m.resps_len)
-         m.resps_h)
+            (mix
+               (mix (mix (mix ((i + 1) * 0x9E3779B9) 7) m.label_h) m.seq)
+               m.resps_len)
+            m.resps_h))
 
 (* Full slot-hash sum of a metadata array — the non-incremental form of
    the state hash, used at the root and whenever canonicalization has

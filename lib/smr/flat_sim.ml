@@ -7,9 +7,10 @@
    10^6 processes, millions of steps).  This engine holds the same machine
    semantics in mutable struct-of-arrays form: dense int arrays indexed by
    address for memory, dense int arrays indexed by pid for call state, so
-   one step is O(1) work and the engine itself allocates nothing at steady
-   state (the free-monad program interpretation still allocates a bounded
-   handful of minor words per step — constant, independent of n and k).
+   one step is O(1) work and the engine's own billing allocates nothing.
+   A step still costs minor words — the program's Step node, continuation
+   and bind closures, and [Op.execute]'s result record: 38–44 words/step on
+   BENCH_10's load rows, constant in n and k.
 
    Equivalence contract (enforced by the differential suite in
    test/test_flat.ml): given the same layout, schedule and model, this
@@ -313,12 +314,15 @@ let coherence_messages t ~m =
 
 (* A read-class access: hit refreshes recency and is local; miss fetches
    (one transfer, plus a write-back if a dirty owner holds the line
-   elsewhere) and downgrades the owner. *)
+   elsewhere) and downgrades the owner.  Like every accounting function
+   below it returns the messages the access sent, a plain int, so billing
+   allocates nothing: an access is an RMR exactly when that count is
+   positive. *)
 let cc_read_like t p a =
   let i = line_of t p a in
   if i >= 0 then begin
     touch_lru t p i;
-    (false, 0)
+    0
   end
   else begin
     let ow = t.owner.(a) in
@@ -333,7 +337,7 @@ let cc_read_like t p a =
         Obs.Counters.Fetch;
       Obs.Counters.bump_messages c ~pid:p ~addr:a messages);
     t.on_cache ~t:t.clock ~pid:p ~addr:a ~action:"fetch" ~messages;
-    (true, messages)
+    messages
   end
 
 (* A write-class access that reaches memory and kills (or, for
@@ -358,7 +362,7 @@ let cc_write_like t ~invalidate ~own p a =
   t.on_cache ~t:t.clock ~pid:p ~addr:a
     ~action:(if invalidate then "invalidate" else "update")
     ~messages;
-  (true, messages)
+  messages
 
 let cc_account t p inv ~wrote =
   let a = Op.addr_of inv in
@@ -378,8 +382,8 @@ let cc_account t p inv ~wrote =
         | None -> ()
         | Some c -> Obs.Counters.bump_messages c ~pid:p ~addr:a 1);
         t.on_cache ~t:t.clock ~pid:p ~addr:a ~action:"roundtrip" ~messages:1;
-        let (_ : bool * int) = cc_read_like t p a in
-        (true, 1)
+        let (_ : int) = cc_read_like t p a in
+        1
       end
     | Cc.Write_back ->
       if Op.is_read_only inv then cc_read_like t p a
@@ -387,7 +391,7 @@ let cc_account t p inv ~wrote =
         (* Exclusive owner: completes in-cache, refreshing recency. *)
         let i = line_of t p a in
         if i >= 0 then touch_lru t p i;
-        (false, 0)
+        0
       end
       else cc_write_like t ~invalidate:true ~own:true p a
     | Cc.Write_update ->
@@ -396,18 +400,19 @@ let cc_account t p inv ~wrote =
         (* LFCU: a failed comparison on a cached copy is local, and leaves
            the cache state untouched (no recency refresh — mirror of the
            [Cc] fast path returning the state physically unchanged). *)
-        if has_copy t p a then (false, 0) else cc_read_like t p a
+        if has_copy t p a then 0 else cc_read_like t p a
       else cc_write_like t ~invalidate:false ~own:false p a)
 
 (* --- the one-step core --- *)
 
+(* Messages the step sent; the step is an RMR iff the count is positive. *)
 let account t p inv ~wrote =
   match t.spec with
   | Dsm ->
-    (* Static DSM billing: remote iff the cell is homed elsewhere
-       ([Shared] is -1, remote to everyone). *)
+    (* Static DSM billing: remote (one message) iff the cell is homed
+       elsewhere ([Shared] is -1, remote to everyone). *)
     let home = Var.layout_home_code t.layout (Op.addr_of inv) in
-    if home = p then (false, 0) else (true, 1)
+    if home = p then 0 else 1
   | Cc _ -> cc_account t p inv ~wrote
 
 let complete_call t p ~crashed result =
@@ -472,7 +477,8 @@ let advance t p =
       Array.unsafe_set t.values a v;
       t.ll_epoch.(a) <- t.ll_epoch.(a) + 1
     | None -> ( match inv with Op.Ll _ -> ll_record t p a | _ -> ()));
-    let rmr, messages = account t p inv ~wrote:(new_value <> None) in
+    let messages = account t p inv ~wrote:(new_value <> None) in
+    let rmr = messages > 0 in
     (match t.counters with
     | None -> ()
     | Some c ->

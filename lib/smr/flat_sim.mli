@@ -3,8 +3,11 @@
 
     Same machine semantics — operation responses, RMR/message billing, call
     timestamps — but state lives in dense arrays indexed by address and by
-    process, so one step is O(1) work with no engine allocation and the
-    machine instantiates at n = 10^6 processes.  No history, no snapshots,
+    process, so one step is O(1) work and the machine instantiates at
+    n = 10^6 processes.  The engine's billing allocates nothing; a step
+    still allocates what interpreting its program costs, plus the result
+    record of {!Op.execute} — 38–44 minor words on the [bench] load rows
+    (cc-flag, dsm-broadcast), constant in n and k.  No history, no snapshots,
     no replay: {!Sim} remains the oracle for the adversary, the explorer
     and the differential tests. *)
 
@@ -62,8 +65,8 @@ val create :
     [counters], when given, receives a bump per executed step ([Rmr] or
     [Local], at the step's within-call pc), per coherence action ([Fetch] /
     [Invalidate] / [Update], plus the transaction's messages) and per
-    mid-call crash — allocation-free, so arming counters preserves the
-    engine's zero-steady-state-allocation property.  The planes must cover
+    mid-call crash — allocation-free, so arming counters leaves the minor
+    words per step unchanged.  The planes must cover
     the machine ([Obs.Counters.n] ≥ [n], [Obs.Counters.size] ≥ the layout
     size); raises [Invalid_argument] otherwise.  [on_cache], when given,
     streams the same coherence transactions as calls (for trace export);

@@ -39,6 +39,16 @@ let fresh_like layout a c =
    hash quality is uniform across the dedup pipeline. *)
 let mix h x = (((h * 31) + x + 1) * 0x2545F491) land max_int
 
+(* MurmurHash3's 64-bit finalizer with its constants cut to OCaml's 63-bit
+   ints; mirrors Explore's.  [mix] is affine, so a plain sum of [mix]ed
+   contributions cannot tell which cell holds which value: {V[1]:=1,
+   V[2]:=2} would hash as {V[1]:=2, V[2]:=1}.  Finalizing each
+   contribution before summing breaks that linearity. *)
+let fmix h =
+  let h = (h lxor (h lsr 33)) * 0x7f51afd7ed558ccd in
+  let h = (h lxor (h lsr 33)) * 0x44ceb9fe1a85ec53 in
+  h lxor (h lsr 33)
+
 (* Contribution of one cell to the running behavioral hash.  Fresh-like
    cells contribute 0, so a store written back to its initial state hashes
    identically to one never touched.  Contributions combine by integer
@@ -47,10 +57,11 @@ let mix h x = (((h * 31) + x + 1) * 0x2545F491) land max_int
 let cell_contrib layout a c =
   if fresh_like layout a c then 0
   else
-    Pid_set.fold
-      (fun p h -> mix h p)
-      c.links
-      (mix (mix 0x531AB597 a) c.value)
+    fmix
+      (Pid_set.fold
+         (fun p h -> mix h p)
+         c.links
+         (mix (mix 0x531AB597 a) c.value))
 
 let create layout = { layout; cells = Addr_map.empty; fp_hash = 0 }
 

@@ -19,7 +19,9 @@ let rec bind m f =
   | Return x -> f x
   | Step (inv, k) -> Step (inv, fun v -> bind (k v) f)
 
-let map f m = bind m (fun x -> return (f x))
+let rec map f = function
+  | Return x -> Return (f x)
+  | Step (inv, k) -> Step (inv, fun v -> map f (k v))
 
 module Syntax = struct
   let ( let* ) = bind
@@ -28,46 +30,44 @@ end
 
 open Syntax
 
-let step inv = Step (inv, fun v -> Return v)
+(* Static continuations: they capture nothing, so a step built with one
+   allocates no closure; [Return true], [Return false] and [Return ()] are
+   shared constants. *)
+let ret_true = Return true
+let ret_false = Return false
+let ret_unit (_ : Op.value) = Return ()
+let ret_value (v : Op.value) = Return v
+let ret_is_one r = if r = 1 then ret_true else ret_false
+let ret_nonzero v = if v <> 0 then ret_true else ret_false
 
-(* Typed operations over Var handles. *)
+let step inv = Step (inv, ret_value)
 
-let read var =
-  let+ v = step (Op.Read (Var.addr var)) in
-  Var.decode var v
+(* Typed operations over Var handles: each is one [Step], with a static
+   continuation or the single closure that decodes through the handle. *)
 
-let write var x =
-  let+ _ = step (Op.Write (Var.addr var, Var.encode var x)) in
-  ()
+let read var = Step (Op.Read (Var.addr var), fun v -> Return (Var.decode var v))
+
+let write var x = Step (Op.Write (Var.addr var, Var.encode var x), ret_unit)
 
 let cas var ~expected ~update =
-  let+ r =
-    step
-      (Op.Cas (Var.addr var, Var.encode var expected, Var.encode var update))
-  in
-  r = 1
+  Step
+    ( Op.Cas (Var.addr var, Var.encode var expected, Var.encode var update),
+      ret_is_one )
 
 let load_linked var =
-  let+ v = step (Op.Ll (Var.addr var)) in
-  Var.decode var v
+  Step (Op.Ll (Var.addr var), fun v -> Return (Var.decode var v))
 
 let store_conditional var x =
-  let+ r = step (Op.Sc (Var.addr var, Var.encode var x)) in
-  r = 1
+  Step (Op.Sc (Var.addr var, Var.encode var x), ret_is_one)
 
-let fetch_and_add var delta =
-  let+ v = step (Op.Faa (Var.addr var, delta)) in
-  v
+let fetch_and_add var delta = Step (Op.Faa (Var.addr var, delta), ret_value)
 
 let fetch_and_increment var = fetch_and_add var 1
 
 let fetch_and_store var x =
-  let+ v = step (Op.Fas (Var.addr var, Var.encode var x)) in
-  Var.decode var v
+  Step (Op.Fas (Var.addr var, Var.encode var x), fun v -> Return (Var.decode var v))
 
-let test_and_set var =
-  let+ v = step (Op.Tas (Var.addr var)) in
-  v <> 0
+let test_and_set var = Step (Op.Tas (Var.addr var), ret_nonzero)
 
 (* Control flow. *)
 

@@ -25,54 +25,51 @@ let pp_home ppf = function
 let home_code = function Shared -> -1 | Module i -> i
 let home_of_code c = if c < 0 then Shared else Module c
 
-type 'a t = {
-  addr : Op.addr;
-  name : string;
-  home : home;
-  encode : 'a -> Op.value;
-  decode : Op.value -> 'a;
-}
+(* One naming segment per allocation call: cells [s_base, s_base + s_len),
+   cell [s_base + i] named [segment_name s i].  The layout keeps every
+   segment for {!layout_name}; the vec of the same call holds the very
+   same record, so a handle's {!name} is the layout's by construction. *)
+type segment = { s_base : Op.addr; s_len : int; s_name : string; s_indexed : bool }
 
-let addr v = v.addr
-let name v = v.name
-let home v = v.home
-let encode v x = v.encode x
-let decode v x = v.decode x
+let segment_name s i =
+  if s.s_indexed then Printf.sprintf "%s[%d]" s.s_name i else s.s_name
 
-(* A contiguous range of cells sharing one base name and encoding.  Unlike
-   ['a t array] (which materializes one record and one name string per
-   element), a vec is O(1) space regardless of length: element handles are
-   minted on demand by {!vec_get}.  This is what lets algorithms with
-   per-process state (queues, flag vectors) instantiate at k = 10^6. *)
+(* A contiguous range of cells sharing one segment and encoding.  Unlike
+   ['a t array] (which materializes one record per element), a vec is O(1)
+   space regardless of length: element handles are minted on demand by
+   {!vec_get}.  This is what lets algorithms with per-process state (queues,
+   flag vectors) instantiate at k = 10^6.  A scalar cell is a one-element
+   range whose segment is not indexed. *)
 type 'a vec = {
-  v_base : Op.addr;
-  v_len : int;
-  v_name : string;
+  v_seg : segment;
   v_home : int -> home;
   v_encode : 'a -> Op.value;
   v_decode : Op.value -> 'a;
 }
 
-let vec_len v = v.v_len
+(* A handle is its address plus the range it was minted from: name, home
+   and encoding are read from (or rendered out of) what the range shares,
+   so minting one — once per write in a broadcast Signal() — allocates
+   this two-field record and nothing else. *)
+type 'a t = { addr : Op.addr; vec : 'a vec }
+
+let addr v = v.addr
+let name { addr; vec } = segment_name vec.v_seg (addr - vec.v_seg.s_base)
+let home { addr; vec } = vec.v_home (addr - vec.v_seg.s_base)
+let encode v x = v.vec.v_encode x
+let decode v x = v.vec.v_decode x
+
+let vec_len v = v.v_seg.s_len
 
 let vec_addr v i =
-  if i < 0 || i >= v.v_len then
+  let s = v.v_seg in
+  if i < 0 || i >= s.s_len then
     invalid_arg
       (Printf.sprintf "Var.vec_addr: index %d out of bounds for %s[0..%d)" i
-         v.v_name v.v_len)
-  else v.v_base + i
+         s.s_name s.s_len)
+  else s.s_base + i
 
-let vec_get v i =
-  let addr = vec_addr v i in
-  { addr;
-    name = Printf.sprintf "%s[%d]" v.v_name i;
-    home = v.v_home i;
-    encode = v.v_encode;
-    decode = v.v_decode }
-
-(* One naming segment per allocation call: cells [base, base+len) are named
-   by [namer (a - base)]. *)
-type segment = { s_base : int; s_len : int; s_namer : int -> string }
+let vec_get v i = { addr = vec_addr v i; vec = v }
 
 type layout = {
   size : int;
@@ -104,7 +101,7 @@ let layout_name layout a =
       let s = layout.segments.(mid) in
       if a < s.s_base then hi := mid - 1
       else if a >= s.s_base + s.s_len then lo := mid + 1
-      else found := Some (s.s_namer (a - s.s_base))
+      else found := Some (segment_name s (a - s.s_base))
     done;
     match !found with Some n -> n | None -> Printf.sprintf "@%d" a
   end
@@ -154,8 +151,12 @@ module Ctx = struct
     ctx.next <- addr + 1;
     ctx.homes.(addr) <- home_code home;
     ctx.inits.(addr) <- encode init;
-    push_seg ctx { s_base = addr; s_len = 1; s_namer = (fun _ -> name) };
-    { addr; name; home; encode; decode }
+    let seg = { s_base = addr; s_len = 1; s_name = name; s_indexed = false } in
+    push_seg ctx seg;
+    { addr;
+      vec =
+        { v_seg = seg; v_home = (fun _ -> home); v_encode = encode;
+          v_decode = decode } }
 
   let int ctx ~name ~home init =
     alloc ctx ~name ~home ~encode:Fun.id ~decode:Fun.id init
@@ -183,12 +184,9 @@ module Ctx = struct
       ctx.homes.(base + i) <- home_code (home i);
       ctx.inits.(base + i) <- encode (init i)
     done;
-    push_seg ctx
-      { s_base = base;
-        s_len = n;
-        s_namer = (fun i -> Printf.sprintf "%s[%d]" name i) };
-    { v_base = base; v_len = n; v_name = name; v_home = home;
-      v_encode = encode; v_decode = decode }
+    let seg = { s_base = base; s_len = n; s_name = name; s_indexed = true } in
+    push_seg ctx seg;
+    { v_seg = seg; v_home = home; v_encode = encode; v_decode = decode }
 
   let int_vec ctx ~name ~home n init =
     alloc_vec ctx ~name ~home ~encode:Fun.id ~decode:Fun.id n init
@@ -215,7 +213,9 @@ module Ctx = struct
     Array.init n (vec_get v)
 
   let freeze ctx =
-    let segments = Array.make ctx.nsegs { s_base = 0; s_len = 0; s_namer = (fun _ -> "") } in
+    let segments =
+      Array.make ctx.nsegs { s_base = 0; s_len = 0; s_name = ""; s_indexed = false }
+    in
     let rec fill i = function
       | [] -> ()
       | s :: rest ->

@@ -15,8 +15,15 @@ type 'a t
 (** A typed handle on one shared cell. *)
 
 val addr : 'a t -> Op.addr
+
 val name : 'a t -> string
+(** Debug name, rendered on demand (["V[i]"] for a vec element): what
+    {!layout_name} gives for the handle's address in any layout frozen
+    after the allocation. *)
+
 val home : 'a t -> home
+(** DSM home, computed on demand: what {!layout_home} gives for the
+    handle's address in any layout frozen after the allocation. *)
 
 val encode : 'a t -> 'a -> Op.value
 (** Encode a typed value into the cell representation. *)
@@ -27,8 +34,8 @@ val decode : 'a t -> Op.value -> 'a
 type 'a vec
 (** A contiguous range of cells sharing one base name and encoding — O(1)
     space regardless of length, unlike ['a t array] which materializes one
-    record and one name string per element.  The representation algorithms
-    with per-process state must use to instantiate at k = 10^6. *)
+    handle per element.  The representation algorithms with per-process
+    state must use to instantiate at k = 10^6. *)
 
 val vec_len : 'a vec -> int
 
@@ -36,8 +43,9 @@ val vec_addr : 'a vec -> int -> Op.addr
 (** Address of element [i]; raises [Invalid_argument] out of bounds. *)
 
 val vec_get : 'a vec -> int -> 'a t
-(** Mint the handle of element [i] on demand (allocates the handle and its
-    debug name; cheap, but hot loops should hoist it when possible). *)
+(** Mint the handle of element [i] on demand.  Allocates one three-word
+    record (header, address, shared range) and nothing else: the name and
+    home are computed only when {!name} or {!home} asks. *)
 
 type layout
 (** Frozen allocation: addresses with homes, initial values and debug names.

@@ -656,11 +656,29 @@ let test_fp_stats_exposed () =
   check_true "a task allocated intern slots" (s.Explore.fp_slots > 0);
   check_true "intern load kept under 1/2"
     (2 * s.Explore.fp_distinct <= s.Explore.fp_slots);
-  (* The commutative sum-hash trades mixing quality for O(1) incremental
-     maintenance; collisions cost a confirming compare, never soundness.
-     Structurally each newly interned key counts at most one. *)
+  (* Collisions cost a confirming compare, never soundness.  Structurally
+     each newly interned key counts at most one. *)
   check_true "collision count within its structural bound"
     (s.Explore.fp_collisions < s.Explore.fp_distinct)
+
+let test_state_hash_collision_free () =
+  (* The state hash sums finalized per-slot and per-cell hashes: distinct
+     keys that only permute values between pids or cells must not share a
+     full hash.  Two configurations where the unfinalized affine sum made
+     hundreds of distinct keys collide. *)
+  let collisions (module A : Signaling.POLLING) ~n ~waiters ~polls =
+    let layout, scripts, symmetry = scripts_sym (module A) ~n ~waiters ~polls in
+    let r =
+      Explore.check ~split_depth:0 ~symmetry ~layout
+        ~model:(Cost_model.dsm layout) ~n ~scripts ~property:spec_ok ()
+    in
+    check_true "search complete" r.Explore.complete;
+    r.Explore.stats.Explore.fp_collisions
+  in
+  check_int "dsm-broadcast N=3, 2 waiters, 3 polls" 0
+    (collisions (module Dsm_broadcast) ~n:3 ~waiters:[ 1; 2 ] ~polls:3);
+  check_int "cc-flag N=4, 3 waiters, 2 polls" 0
+    (collisions (module Cc_flag) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:2)
 
 let test_wall_metric_single_source () =
   (* wall_s is computed once: the traced metric must carry the very value
@@ -712,4 +730,5 @@ let suite =
     case "spilled search identical to in-memory" test_spill_determinism;
     case "spill store: ids and payloads survive paging" test_spill_store_basics;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
+    case "state hash: no full-hash collisions" test_state_hash_collision_free;
     case "wall-clock metric has a single source" test_wall_metric_single_source ]

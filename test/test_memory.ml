@@ -184,6 +184,18 @@ let test_fp_sees_load_links () =
   check_false "valid link is observable" (Memory.same_fingerprint mem m1);
   check_true "hash moved with it" (Memory.fp_hash mem <> Memory.fp_hash m1)
 
+let test_fp_hash_sees_swapped_values () =
+  (* Per-cell contributions are summed, so they must not be affine in the
+     value: swapping the values of two cells is a different store. *)
+  let ctx = Var.Ctx.create () in
+  let v = Var.Ctx.int_vec ctx ~name:"V" ~home:(fun i -> Var.Module i) 3 (fun _ -> 0) in
+  let mem = Memory.create (Var.Ctx.freeze ctx) in
+  let v1 = Var.vec_addr v 1 and v2 = Var.vec_addr v 2 in
+  let m12 = apply_m (apply_m mem 0 (Op.Write (v1, 1))) 0 (Op.Write (v2, 2)) in
+  let m21 = apply_m (apply_m mem 0 (Op.Write (v1, 2))) 0 (Op.Write (v2, 1)) in
+  check_false "swapped stores differ" (Memory.same_fingerprint m12 m21);
+  check_true "and hash differently" (Memory.fp_hash m12 <> Memory.fp_hash m21)
+
 let suite =
   [ case "initial values" test_initial_values;
     case "write updates value and writer" test_write_updates;
@@ -198,4 +210,5 @@ let suite =
     case "fp hash: independent writes commute" test_fp_hash_order_independent;
     case "fp hash: write-back restores identity" test_fp_writeback_restores;
     case "fp hash: load-links are observable" test_fp_sees_load_links;
+    case "fp hash: swapped values hash apart" test_fp_hash_sees_swapped_values;
     prop_matches_reference ]

@@ -133,6 +133,87 @@ let test_next_invocation () =
   check_true "step exposes op"
     (Program.next_invocation (Program.step (Op.Read 5)) = Some (Op.Read 5))
 
+(* Every typed operation is a single [Step] answering exactly as the
+   generic construction [map decode (step inv)] it replaced: same
+   invocation, and the same decoded result for every response. *)
+let test_typed_ops_are_one_step () =
+  let ctx = Var.Ctx.create () in
+  let w = Var.Ctx.pid_opt ctx ~name:"w" ~home:Var.Shared None in
+  let b = Var.Ctx.bool ctx ~name:"b" ~home:Var.Shared false in
+  let c = Var.Ctx.int ctx ~name:"c" ~home:Var.Shared 0 in
+  let responses = [ -1; 0; 1; 2; 7 ] in
+  let same name op reference =
+    (match op with
+    | Program.Step (_, k) ->
+      List.iter
+        (fun r ->
+          match k r with
+          | Program.Return _ -> ()
+          | Program.Step _ -> Alcotest.failf "%s: more than one step" name)
+        responses
+    | Program.Return _ -> Alcotest.failf "%s: no step" name);
+    check_true (name ^ ": same invocation")
+      (Program.next_invocation op = Program.next_invocation reference);
+    List.iter
+      (fun r ->
+        check_true
+          (Printf.sprintf "%s: same result on response %d" name r)
+          (interpret ~respond:(fun _ -> r) op
+          = interpret ~respond:(fun _ -> r) reference))
+      responses
+  in
+  let addr = Var.addr and step = Program.step in
+  let enc = Var.encode w in
+  same "read" (Program.read w) (Program.map (Var.decode w) (step (Op.Read (addr w))));
+  same "write" (Program.write w (Some 4))
+    (Program.map ignore (step (Op.Write (addr w, enc (Some 4)))));
+  same "cas"
+    (Program.cas w ~expected:None ~update:(Some 2))
+    (Program.map (fun r -> r = 1) (step (Op.Cas (addr w, enc None, enc (Some 2)))));
+  same "load_linked" (Program.load_linked w)
+    (Program.map (Var.decode w) (step (Op.Ll (addr w))));
+  same "store_conditional" (Program.store_conditional w (Some 1))
+    (Program.map (fun r -> r = 1) (step (Op.Sc (addr w, enc (Some 1)))));
+  same "fetch_and_add" (Program.fetch_and_add c 3) (step (Op.Faa (addr c, 3)));
+  same "fetch_and_increment" (Program.fetch_and_increment c)
+    (step (Op.Faa (addr c, 1)));
+  same "fetch_and_store" (Program.fetch_and_store w None)
+    (Program.map (Var.decode w) (step (Op.Fas (addr w, enc None))));
+  same "test_and_set" (Program.test_and_set b)
+    (Program.map (fun v -> v <> 0) (step (Op.Tas (addr b))))
+
+let prop_map_laws =
+  (* [map] is its own structural recursion, not [bind]: check the functor
+     laws observably on a multi-step program under scripted responses. *)
+  qcheck "map obeys identity and composition"
+    QCheck.(small_list small_signed_int)
+    (fun script ->
+      let ctx = Var.Ctx.create () in
+      let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
+      let y = Var.Ctx.int ctx ~name:"y" ~home:Var.Shared 0 in
+      let prog =
+        let* a = Program.read x in
+        let* ok = Program.cas y ~expected:a ~update:(a + 1) in
+        let* () = Program.write x (if ok then 1 else 2) in
+        let* b = Program.fetch_and_add y a in
+        Program.return ((a * 10) + b)
+      in
+      let run p =
+        let left = ref script in
+        interpret
+          ~respond:(fun _ ->
+            match !left with
+            | [] -> 0
+            | r :: rest ->
+              left := rest;
+              r)
+          p
+      in
+      let f v = v * 3 and g v = v - 5 in
+      run (Program.map Fun.id prog) = run prog
+      && run (Program.map (fun v -> f (g v)) prog)
+         = run (Program.map f (Program.map g prog)))
+
 let prop_bind_assoc =
   (* (m >>= f) >>= g behaves as m >>= (fun x -> f x >>= g) under any
      responder: same invocation trace and result. *)
@@ -162,6 +243,8 @@ let suite =
     case "await spins until predicate" test_await;
     case "typed encode/decode round trip" test_typed_ops_round_trip;
     case "cas result decoding" test_cas_bool_result;
+    case "typed operations are one step each" test_typed_ops_are_one_step;
     case "length_exn" test_length_exn;
     case "next_invocation" test_next_invocation;
+    prop_map_laws;
     prop_bind_assoc ]

@@ -50,6 +50,37 @@ let test_array_initializers () =
   check_true "per-index homes" (Var.home arr.(2) = Var.Module 2);
   check_true "indexed names" (Var.name arr.(2) = "flags[2]")
 
+let test_handle_names_and_homes_match_layout () =
+  (* Handles render their name and home on demand from the range they were
+     minted from; both must agree with the frozen layout's view of the same
+     address, for scalars and for the first, a middle and the last element
+     of a vec. *)
+  let ctx = Var.Ctx.create () in
+  let s = Var.Ctx.int ctx ~name:"counter" ~home:(Var.Module 3) 0 in
+  let t = Var.Ctx.bool ctx ~name:"lock" ~home:Var.Shared false in
+  let v =
+    Var.Ctx.bool_vec ctx ~name:"V"
+      ~home:(fun i -> if i = 2 then Var.Shared else Var.Module i)
+      5 (fun _ -> false)
+  in
+  let layout = Var.Ctx.freeze ctx in
+  let agrees what h =
+    check_true (what ^ ": name")
+      (Var.name h = Var.layout_name layout (Var.addr h));
+    check_true (what ^ ": home")
+      (Var.home h = Var.layout_home layout (Var.addr h))
+  in
+  agrees "int scalar" s;
+  agrees "bool scalar" t;
+  List.iter
+    (fun i -> agrees (Printf.sprintf "V[%d]" i) (Var.vec_get v i))
+    [ 0; 2; 4 ];
+  check_true "scalar names carry no index" (Var.name s = "counter");
+  check_true "vec names carry the index" (Var.name (Var.vec_get v 4) = "V[4]");
+  check_true "vec homes are per index"
+    (Var.home (Var.vec_get v 2) = Var.Shared
+    && Var.home (Var.vec_get v 4) = Var.Module 4)
+
 let test_pid_opt_encoding () =
   let ctx = Var.Ctx.create () in
   let w = Var.Ctx.pid_opt ctx ~name:"w" ~home:Var.Shared None in
@@ -76,5 +107,7 @@ let suite =
     case "layout defaults" test_layout_defaults_for_unknown_addr;
     case "freeze isolation" test_freeze_isolation;
     case "array initializers" test_array_initializers;
+    case "handle names and homes match the layout"
+      test_handle_names_and_homes_match_layout;
     case "pid option encoding" test_pid_opt_encoding;
     case "custom encoding" test_custom_encoding ]

@@ -155,21 +155,35 @@ let test_driver_spec_verdict_detects_violations () =
   check_true (not r.Driver.r_spec_ok)
 
 let test_driver_allocation_bounded () =
-  (* Steady state allocates a bounded constant per step (the free-monad
-     interpretation's closures), independent of k: the engine itself —
-     cells, caches, accounting — is flat arrays and allocates nothing. *)
-  let words_per_step k =
-    let sc = scenario ~algorithm:"dsm-broadcast" ~model:`Dsm ~k () in
+  (* Steady state allocates a bounded constant per step, independent of k.
+     The engine itself — cells, caches, accounting — is flat arrays and
+     allocates nothing; what remains is the program interpretation (the
+     Step node, its continuation, the bind closures, the vec handle).
+     Measured 39.5 words/step for dsm-broadcast under DSM and 41.8 for
+     cc-flag under write-through caches; the bound of 56 leaves about 14
+     words (a third) of headroom, and is what a per-step debug name or an
+     extra bind per operation would break. *)
+  let words_per_step ~algorithm ~model k =
+    let sc = scenario ~algorithm ~model ~k () in
     ignore (Core.Loadgen.run sc) (* warm-up excluded from the window *);
     let w0 = Gc.minor_words () in
     let r = Core.Loadgen.run sc in
     (Gc.minor_words () -. w0) /. float_of_int r.Driver.r_steps
   in
-  let small = words_per_step 500 and large = words_per_step 4000 in
-  check_true (small < 256.0);
-  check_true (large < 256.0);
-  (* constant, not growing with k: allow generous jitter for GC noise *)
-  check_true (large < small *. 2.0 +. 16.0)
+  List.iter
+    (fun (algorithm, model) ->
+      let small = words_per_step ~algorithm ~model 500
+      and large = words_per_step ~algorithm ~model 4000 in
+      let bounded what w =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s k=%s: %.1f words/step < 56" algorithm what w)
+          true (w < 56.0)
+      in
+      bounded "500" small;
+      bounded "4000" large;
+      (* constant, not growing with k: allow generous jitter for GC noise *)
+      check_true (large < small *. 2.0 +. 16.0))
+    [ ("dsm-broadcast", `Dsm); ("cc-flag", `Cc_wt) ]
 
 let test_timeline_sampled () =
   (* Rendering a history bigger than the caps degrades to a sample with an
