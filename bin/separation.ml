@@ -199,79 +199,33 @@ let explore_cmd =
              Verdicts and all counts except the spill counters are \
              byte-identical to an unbudgeted run.")
   in
-  let run (module A : Core.Signaling.POLLING) n waiters polls signalers
-      static_indep cap jobs split_depth json no_dedup no_por no_symmetry
-      mem_budget =
+  let run algorithm n waiters polls signalers static_indep cap jobs split_depth
+      json no_dedup no_por no_symmetry mem_budget =
     let open Smr in
-    let ctx = Var.Ctx.create () in
-    let signaler_pids = List.init signalers (fun i -> i) in
-    let waiter_pids = List.init waiters (fun i -> i + signalers) in
-    let cfg =
-      Core.Signaling.config ~n ~waiters:waiter_pids ~signalers:signaler_pids
+    let setup =
+      { (Core.Exhaustive.setup algorithm) with
+        n; waiters; polls; signalers; static_indep; cap; jobs; split_depth;
+        dedup = not no_dedup; por = not no_por; symmetry = not no_symmetry;
+        mem_budget_mib = mem_budget }
     in
-    let inst = Core.Signaling.instantiate (module A) ctx cfg in
-    let layout = Var.Ctx.freeze ctx in
-    let scripts =
-      List.map
-        (fun s ->
-          ( s,
-            Explore.of_list
-              [ (Core.Signaling.signal_label, inst.Core.Signaling.i_signal s) ]
-          ))
-        signaler_pids
-      @ List.map
-          (fun w ->
-            ( w,
-              Explore.repeat ~limit:polls
-                ~until:(fun r -> r = 1)
-                (Core.Signaling.poll_label, inst.Core.Signaling.i_poll w) ))
-          waiter_pids
-    in
-    (* The facts are computed from the CFGs of the very programs the
-       scripts run, so the extended relation is sound for this search
-       (Explore.check's [commute] contract).  An incomplete unfolding
-       yields no facts and we fall back to the generic relation. *)
-    let commute =
-      if not static_indep then Op.commute
-      else begin
-        let values = Analysis.Lint.value_domain ~n ~layout in
-        let extract pid prog =
-          Analysis.Cfg.extract ~values ~exclusive:(fun _ -> false) ~pid prog
-        in
-        let cfgs =
-          List.map
-            (fun s -> (s, extract s (inst.Core.Signaling.i_signal s)))
-            signaler_pids
-          @ List.map
-              (fun w -> (w, extract w (inst.Core.Signaling.i_poll w)))
-              waiter_pids
-        in
-        let facts = Analysis.Independence.of_cfgs cfgs in
-        Fmt.epr "static-indep: %d const-write fact(s)%s@."
-          (List.length facts.Analysis.Independence.const_writes)
-          (match Analysis.Independence.fact_names ~layout facts with
-          | [] -> ""
-          | names -> ": " ^ String.concat ", " names);
-        Analysis.Independence.commute facts
-      end
-    in
-    (* Symmetry detection runs on the waiters' poll calls — the scripts
-       wrapping them ([Explore.repeat] with identical limit/until) branch
-       only on own-process counts and results, so script symmetry follows
-       from call symmetry; Spec 4.1 is waiter-permutation-invariant by
-       construction (it reads labels, results and interval relations,
-       never pids). *)
-    let symmetry =
-      if no_symmetry then Sim.Pid_set.empty
-      else
-        Explore.detect_symmetry
-          ~values:(Analysis.Lint.value_domain ~n ~layout)
-          (List.map
-             (fun w ->
-               (w, (Core.Signaling.poll_label, inst.Core.Signaling.i_poll w)))
-             waiter_pids)
-    in
-    let sym_k = Sim.Pid_set.cardinal symmetry in
+    (match Core.Exhaustive.validate setup with
+    | Ok () -> ()
+    | Error msg ->
+      Fmt.epr "separation: explore: %s@." msg;
+      exit 2);
+    let prepared = Core.Exhaustive.prepare setup in
+    (match prepared.Core.Exhaustive.facts with
+    | None -> ()
+    | Some facts ->
+      Fmt.epr "static-indep: %d const-write fact(s)%s@."
+        (List.length facts.Analysis.Independence.const_writes)
+        (match
+           Analysis.Independence.fact_names
+             ~layout:prepared.Core.Exhaustive.layout facts
+         with
+        | [] -> ""
+        | names -> ": " ^ String.concat ", " names));
+    let sym_k = Sim.Pid_set.cardinal prepared.Core.Exhaustive.symmetry in
     if not no_symmetry then
       if sym_k >= 2 then
         Fmt.epr "symmetry: %d interchangeable waiter(s)@." sym_k
@@ -279,59 +233,12 @@ let explore_cmd =
         Fmt.epr
           "symmetry: declined (waiter programs not interchangeable); running \
            without reduction@.";
-    let mem_budget_bytes = Option.map (fun mib -> mib * 1024 * 1024) mem_budget in
-    let r =
-      Explore.check ~max_histories:cap ~dedup:(not no_dedup) ~por:(not no_por)
-        ~commute ~jobs ~split_depth ~symmetry ?mem_budget:mem_budget_bytes
-        ~layout
-        ~model:(Cost_model.dsm layout) ~n ~scripts
-        ~property:Core.Signaling.polling_ok
-        ()
-    in
-    (* The table carries only jobs-invariant facts: jobs and wall time stay
-       out so a jobs=1 vs jobs=J byte-comparison of the JSON is meaningful;
-       timing goes to stderr. *)
-    let table =
-      Core.Results.make ~experiment:"explore"
-        ~title:
-          (Printf.sprintf "Exhaustive check of %s (N=%d, %d waiters)" A.name n
-             waiters)
-        ~claim:"Specification 4.1 holds on every explored interleaving"
-        ~params:
-          Core.Results.
-            [ ("algorithm", text A.name); ("n", int n); ("waiters", int waiters);
-              ("polls", int polls); ("signalers", int signalers);
-              ("cap", int cap); ("dedup", bool (not no_dedup));
-              ("por", bool (not no_por)); ("static_indep", bool static_indep);
-              ("symmetry", int sym_k); ("split_depth", int split_depth);
-              ("mem_budget_mib", int (Option.value mem_budget ~default:0)) ]
-        ~columns:
-          Core.Results.
-            [ measure "histories"; measure "truncated"; measure "complete";
-              measure "violation"; measure "states"; measure "dedup_hits";
-              measure "por_prunes"; measure "tasks"; measure "max_depth";
-              measure "orbit_hits"; measure "fp_distinct";
-              measure "fp_collisions"; measure "fp_resizes";
-              measure "fp_slots"; measure "spill_segments";
-              measure "spill_reloads" ]
-        Core.Results.
-          [ [ int r.Explore.histories; int r.Explore.truncated;
-              bool r.Explore.complete; bool (r.Explore.violation <> None);
-              int r.Explore.stats.Explore.states;
-              int r.Explore.stats.Explore.dedup_hits;
-              int r.Explore.stats.Explore.por_prunes;
-              int r.Explore.stats.Explore.tasks;
-              int r.Explore.stats.Explore.max_depth;
-              int r.Explore.stats.Explore.orbit_hits;
-              int r.Explore.stats.Explore.fp_distinct;
-              int r.Explore.stats.Explore.fp_collisions;
-              int r.Explore.stats.Explore.fp_resizes;
-              int r.Explore.stats.Explore.fp_slots;
-              int r.Explore.stats.Explore.spill_segments;
-              int r.Explore.stats.Explore.spill_reloads ] ]
-    in
+    let r = Core.Exhaustive.search setup prepared in
     Fmt.epr "search took %.2fs (%d jobs)@." r.Explore.stats.Explore.wall_s jobs;
-    if json then print_string (Core.Results.to_json table)
+    let (module A : Core.Signaling.POLLING) = algorithm in
+    if json then
+      print_string
+        (Core.Results.to_json (Core.Exhaustive.table setup prepared r))
     else begin
       Fmt.pr "%s: %d histories%s, %s; %d states (%d dedup hits, %d orbit \
               hits, %d POR prunes, %d tasks, max depth %d)@."
@@ -360,25 +267,8 @@ let explore_cmd =
         List.iter
           (fun v -> Fmt.pr "  %a@." Core.Signaling.pp_violation v)
           (Core.Signaling.check_polling (Sim.calls sim));
-        (* The search ran lean (no per-step records), which is enough to
-           name the violated clauses above but leaves the step cells out
-           of the timeline.  The search is deterministic, so re-running it
-           with full history reaches the same first violation — pay that
-           cost only on the failure path, to render it. *)
-        let sim =
-          if not (Sim.is_lean sim) then sim
-          else
-            match
-              (Explore.check ~max_histories:cap ~dedup:(not no_dedup)
-                 ~por:(not no_por) ~commute ~lean:false ~jobs ~split_depth
-                 ~symmetry ?mem_budget:mem_budget_bytes ~layout
-                 ~model:(Cost_model.dsm layout) ~n ~scripts
-                 ~property:Core.Signaling.polling_ok ())
-                .Explore.violation
-            with
-            | Some sim -> sim
-            | None -> sim
-        in
+        (* The violation machine is the search's move path replayed with
+           full history, so the timeline shows every step. *)
         Smr.Timeline.print sim
     end
   in

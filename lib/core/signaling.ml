@@ -167,49 +167,54 @@ let check_polling calls =
 (* Boolean fast paths for the model checker, which evaluates the
    specification at every completion of every explored interleaving:
    verdict-equivalent to [check_polling = []] / [check_blocking = []]
-   (each violation constructor maps to one clause below) but a single
-   O(calls) pass over [Sim.fold_calls] with no list materialized.  The
-   quadratic [completed_signal_before] scan collapses to a comparison
+   (each violation constructor maps to one clause below) but two O(calls)
+   passes with no violation list built and no dependence on list order.
+   The quadratic [completed_signal_before] scan collapses to a comparison
    against the earliest completed-signal finish time: a completed signal
    precedes a poll's start iff the earliest-finishing one does. *)
 
-let signal_extents sim =
-  Sim.fold_calls
-    (fun ((es, ef) as acc) c ->
-      if is_signal c then
-        ( min es c.History.c_started,
-          match c.History.c_finished with Some f -> min ef f | None -> ef )
-      else acc)
-    (max_int, max_int) sim
+(* Earliest Signal() start and earliest Signal() finish ([max_int] when
+   there is none). *)
+let rec signal_extents es ef = function
+  | [] -> (es, ef)
+  | c :: rest ->
+    if is_signal c then
+      signal_extents
+        (min es c.History.c_started)
+        (match c.History.c_finished with Some f -> min ef f | None -> ef)
+        rest
+    else signal_extents es ef rest
 
-let polling_ok sim =
-  let earliest_start, earliest_finish = signal_extents sim in
-  Sim.fold_calls
-    (fun ok c ->
-      ok
-      &&
-      let l = c.History.c_label in
-      (not (l == poll_label || String.equal l poll_label))
-      ||
-      match (c.History.c_result, c.History.c_finished) with
-      | Some 1, Some finished -> earliest_start < finished
-      | Some 0, Some _ -> not (earliest_finish < c.History.c_started)
-      | _ -> true)
-    true sim
+let rec polls_ok es ef = function
+  | [] -> true
+  | c :: rest ->
+    (let l = c.History.c_label in
+     (not (l == poll_label || String.equal l poll_label))
+     ||
+     match (c.History.c_result, c.History.c_finished) with
+     | Some 1, Some finished -> es < finished
+     | Some 0, Some _ -> not (ef < c.History.c_started)
+     | _ -> true)
+    && polls_ok es ef rest
 
-let blocking_ok sim =
-  let earliest_start, _ = signal_extents sim in
-  Sim.fold_calls
-    (fun ok c ->
-      ok
-      &&
-      let l = c.History.c_label in
-      (not (l == wait_label || String.equal l wait_label))
-      ||
-      match c.History.c_finished with
-      | Some finished -> earliest_start < finished
-      | None -> true)
-    true sim
+let polling_ok calls =
+  let es, ef = signal_extents max_int max_int calls in
+  polls_ok es ef calls
+
+let rec waits_ok es = function
+  | [] -> true
+  | c :: rest ->
+    (let l = c.History.c_label in
+     (not (l == wait_label || String.equal l wait_label))
+     ||
+     match c.History.c_finished with
+     | Some finished -> es < finished
+     | None -> true)
+    && waits_ok es rest
+
+let blocking_ok calls =
+  let es, _ = signal_extents max_int max_int calls in
+  waits_ok es calls
 
 let check_blocking calls =
   let earliest_signal = earliest_signal_start calls in

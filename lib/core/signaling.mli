@@ -85,14 +85,15 @@ val check_polling : History.call list -> violation list
 val check_blocking : History.call list -> violation list
 (** A completed [Wait] must follow the start of some [Signal]. *)
 
-val polling_ok : Smr.Sim.t -> bool
-(** Verdict-equivalent to [check_polling (Sim.calls sim) = []], in one
-    O(calls) pass with no list materialized — the form the model checker
-    evaluates at every completion of every explored interleaving.  Use
-    [check_polling] when the actual violations are to be reported. *)
+val polling_ok : History.call list -> bool
+(** Verdict-equivalent to [check_polling calls = []], in two O(calls)
+    passes with no violation list built and in any list order — the form
+    the model checker evaluates, as {!Smr.Explore.check}'s [~property], at
+    every completion of every explored interleaving.  Use [check_polling]
+    when the actual violations are to be reported. *)
 
-val blocking_ok : Smr.Sim.t -> bool
-(** Verdict-equivalent to [check_blocking (Sim.calls sim) = []]; see
+val blocking_ok : History.call list -> bool
+(** Verdict-equivalent to [check_blocking calls = []]; see
     {!polling_ok}. *)
 
 (** {1 Instantiation} *)

@@ -301,7 +301,7 @@ let por_vs_nopor (case : Case.t) =
                   (Core.Signaling.poll_label, inst.Core.Signaling.i_poll w) ))
             cfg.Core.Signaling.waiters
       in
-      let property sim = Core.Signaling.check_polling (Sim.calls sim) = [] in
+      let property calls = Core.Signaling.check_polling calls = [] in
       let run ~dedup ~por =
         Explore.check ~max_histories:50_000 ~max_steps_per_history:300 ~dedup
           ~por ~layout ~model ~n:cfg.Core.Signaling.n ~scripts ~property ()

@@ -3,13 +3,12 @@
    The paper's histories allow arbitrary interleavings; randomized testing
    samples them, this module enumerates them.  Given a per-process script
    of procedure calls, [check] drives the machine through every possible
-   step-level interleaving (depth-first over the persistent state — a
-   branch is just a retained binding) and evaluates a property on every
-   complete history.
+   step-level interleaving (depth-first over persistent state — a branch
+   is just a retained binding) and evaluates a property on every complete
+   history.
 
    The naive step-level DFS explodes combinatorially, so three reductions
-   make exhaustive checking scale past toy scopes, all of them exploiting
-   the persistence of [Sim.t]:
+   make exhaustive checking scale past toy scopes:
 
    - State deduplication.  A canonical fingerprint of (memory contents,
      per-process control point) identifies states whose futures coincide;
@@ -43,12 +42,18 @@
      accounting, so the merged verdict is byte-identical for every job
      count.
 
-   Three further constant-factor decisions keep the per-state cost flat
-   (see docs/MODEL.md, "Exploration fast path"):
+   Four constant-factor decisions keep the per-state cost flat (see
+   docs/MODEL.md, "Exploration fast path"):
 
-   - The machine steps in [Sim.lean_mode]: no per-step history records and
-     no replayable trace are accumulated — the property contract below
-     consumes only call records and counters, and those are all kept.
+   - The search steps no [Sim.t].  A node is the persistent [Memory.t],
+     the caller's [Cost_model.t], the event clock, the per-process
+     metadata array (which is also the dedup key) and a persistent log of
+     completed calls; a running call's start time and RMR/step tallies
+     live in per-task arrays that are restored on backtrack.  That is
+     everything the property contract (a list of call records) and the
+     script contract (a {!view} of own call count and last result) read.
+     A violation is rebuilt afterwards as a full-history [Sim.t] by
+     replaying the recorded move path.
 
    - Memory identity is decided through [Memory.fp_hash], a running
      behavioral hash maintained incrementally per operation, so
@@ -58,6 +63,11 @@
 
    - Fingerprints are interned ([Fp_intern]) to dense small ints, so the
      visited table keys, hashes and compares on ints.
+
+   - Symmetric keys are canonicalized in per-task scratch: the permutation
+     is found without allocating, and the canonical hash and the
+     comparison against stored keys run through it; the relabeled key is
+     built only when the state is new.
 
    Dedup and POR assume (and [check]'s documentation requires) that the
    property judges each call, at its completion, from the call's own
@@ -69,27 +79,6 @@
    exact leaf-per-interleaving semantics ([count] does exactly that). *)
 
 module Pid_set = Sim.Pid_set
-
-(* What a process does between calls: a PURE function of the machine state
-   (branches share nothing, so stateful closures would corrupt the
-   search).  [None] means the process is done. *)
-type script = Sim.t -> Op.pid -> (string * Op.value Program.t) option
-
-(* A fixed list of calls, performed in order; the per-branch position is
-   recovered from the machine itself (number of calls begun so far,
-   O(log n) via the simulator's per-process ordinal map). *)
-let of_list calls : script =
- fun sim p -> List.nth_opt calls (Sim.call_count sim p)
-
-(* Repeat a call until its result satisfies [until], at most [limit]
-   times — e.g. "Poll() until it returns true", the history restriction of
-   Section 4. *)
-let repeat ?(limit = max_int) ~until (label, program) : script =
- fun sim p ->
-  match Sim.last_result sim p with
-  | Some r when until r -> None
-  | Some _ | None ->
-    if Sim.call_count sim p >= limit then None else Some (label, program)
 
 type stats = {
   states : int; (* search nodes visited (dedup/POR-pruned nodes included) *)
@@ -123,20 +112,21 @@ type move =
 
 (* --- per-process search metadata --- *)
 
-(* Per-running-call metadata the fingerprint needs but the simulator does
-   not keep: the responses received so far inside the call (they determine
-   the continuation of a deterministic program) and the completed-call
-   counts of every scripted process at the call's start (they determine
-   how interval-order properties will judge the call once it completes). *)
+(* Per-running-call metadata the fingerprint needs: the responses received
+   so far inside the call (they determine the continuation of a
+   deterministic program) and the completed-call counts of every scripted
+   process at the call's start (they determine how interval-order
+   properties will judge the call once it completes).  Dedup keys retain
+   these records, so nothing else lives here: the call's start time and
+   RMR/step tallies, which only the property's call records read, are kept
+   in per-task arrays instead. *)
 type call_meta = {
   program : Op.value Program.t;
-      (* the call's remaining program, advanced in lockstep with the
-         machine — it yields the pending invocation and the continuation
-         without querying the machine at every node *)
+      (* the call's remaining program — it yields the pending invocation
+         and the continuation *)
   label : string;
   label_h : int; (* [Hashtbl.hash label], computed once at the begin *)
   seq : int; (* the call's per-process ordinal *)
-  begun : int; (* calls this process has begun, this one included *)
   resps_rev : Op.value list;
   resps_len : int; (* [List.length resps_rev], maintained incrementally *)
   resps_h : int; (* rolling hash of [resps_rev], maintained incrementally *)
@@ -149,37 +139,61 @@ type call_meta = {
          concurrent call starts merge.  Never mutated after creation. *)
 }
 
-(* One entry per process, indexed by pid (pids are dense: [Sim.create ~n]
-   numbers them [0..n-1]).  The explorer never terminates or crashes a
-   process (a script that answers [None] just stops producing moves), so
-   idle-with-history and running are the only control points — and every
-   fact the fingerprint and the move enumeration need is maintained here
-   incrementally, instead of being re-queried from the machine's maps at
-   every search node.  The array is copy-on-write: [apply_move] copies,
-   nothing ever mutates an existing array — each one is retained as part
-   of its state's interned fingerprint.  Unscripted processes stay
-   [P_idle (0, None)] forever; their contribution to every fingerprint is
-   the same constant, so including them changes no state equivalence. *)
+(* One entry per process, indexed by pid (pids are dense, [0..n-1]).  The
+   explorer never terminates or crashes a process (a script that answers
+   [None] just stops producing moves), so idle-with-history and running
+   are the only control points — and every fact the fingerprint, the move
+   enumeration and the scripts need is maintained here incrementally.  The
+   array is copy-on-write: a move copies, nothing ever mutates an existing
+   array — each one is retained as part of its state's interned
+   fingerprint.  Unscripted processes stay [P_idle (0, None)] forever;
+   their contribution to every fingerprint is the same constant, so
+   including them changes no state equivalence. *)
 type pmeta =
   | P_idle of int * Op.value option (* calls begun, last result *)
   | P_running of call_meta
 
 let meta0 n = Array.make n (P_idle (0, None))
 
+(* --- the script contract --- *)
+
+type view = pmeta array
+
+let call_count (v : view) p =
+  match v.(p) with P_idle (b, _) -> b | P_running m -> m.seq + 1
+
+let last_result (v : view) p =
+  match v.(p) with P_idle (_, r) -> r | P_running _ -> None
+
+(* What a process does between calls: a PURE function of the view (branches
+   share nothing, so stateful closures would corrupt the search).  [None]
+   means the process is done. *)
+type script = view -> Op.pid -> (string * Op.value Program.t) option
+
+let of_list calls : script = fun v p -> List.nth_opt calls (call_count v p)
+
+(* Repeat a call until its result satisfies [until], at most [limit]
+   times — e.g. "Poll() until it returns true", the history restriction of
+   Section 4. *)
+let repeat ?(limit = max_int) ~until call : script =
+  let next = Some call in
+  fun v p ->
+    match last_result v p with
+    | Some r when until r -> None
+    | Some _ | None -> if call_count v p >= limit then None else next
+
 (* Enabled moves in script order: advance if mid-call, else begin whatever
    the script asks for next.  A process whose script answers [None] is
-   done.  Running processes never touch the machine here — the pending
-   invocation comes straight from the tracked program. *)
-let moves scripts (meta : pmeta array) sim =
+   done. *)
+let moves scripts (meta : pmeta array) =
   List.filter_map
     (fun ((p : Op.pid), (script : script)) ->
       match meta.(p) with
-      | P_running m -> (
-        match Program.next_invocation m.program with
-        | Some inv -> Some (p, M_advance inv)
-        | None -> assert false (* running implies a pending operation *))
+      | P_running { program = Program.Step (inv, _); _ } -> Some (p, M_advance inv)
+      | P_running { program = Program.Return _; _ } ->
+        assert false (* running implies a pending operation *)
       | P_idle _ -> (
-        match script sim p with
+        match script meta p with
         | None -> None
         | Some (label, program) -> Some (p, M_begin (label, program))))
     scripts
@@ -190,12 +204,9 @@ let moves scripts (meta : pmeta array) sim =
    free; compared behaviorally via [Memory.same_fingerprint], never
    serialized) and the per-process control points — which are the tracked
    metadata array itself.  The array is copy-on-write, so retaining it as
-   a key is free and fingerprinting a state allocates one record,
-   independent of how many cells the store holds or how deep the history
-   is.  Equality and hashing read only the fingerprint-relevant fields:
-   [program] is excluded by construction (for a deterministic program it
-   is a function of the call's label and responses), [begun] because for a
-   running call it always equals [seq + 1]. *)
+   a key is free.  Equality and hashing read only the fingerprint-relevant
+   fields: [program] is excluded by construction (for a deterministic
+   program it is a function of the call's label and responses). *)
 type fp = { fp_mem : Memory.t; fp_meta : pmeta array }
 
 (* Exact state identity, consulted only when two states share a hash.  The
@@ -204,8 +215,7 @@ type fp = { fp_mem : Memory.t; fp_meta : pmeta array }
    monomorphic and fail-fast — on a dedup hit (the common case: the keys
    ARE equal) the whole comparison is a run of int compares plus physical
    shortcuts on shared labels, list spines and snapshot arrays, never the
-   generic structural compare, which profiles as one of the hottest calls
-   otherwise. *)
+   generic structural compare. *)
 let value_opt_equal a b =
   match (a, b) with
   | None, None -> true
@@ -227,17 +237,20 @@ let snap_equal (s1 : int array) (s2 : int array) =
      let rec go i = i < 0 || (s1.(i) = s2.(i) && go (i - 1)) in
      go (Array.length s1 - 1))
 
+(* Everything of two running slots but their snapshots. *)
+let running_heads_equal m1 m2 =
+  m1.label_h = m2.label_h && m1.seq = m2.seq && m1.resps_len = m2.resps_len
+  && m1.resps_h = m2.resps_h
+  && (m1.label == m2.label || String.equal m1.label m2.label)
+     (* scripts hand out the same physical label string every time, so
+        the string walk virtually never runs *)
+  && resps_equal m1.resps_rev m2.resps_rev
+
 let pmeta_equal a b =
   match (a, b) with
   | P_idle (c1, r1), P_idle (c2, r2) -> c1 = c2 && value_opt_equal r1 r2
   | P_running m1, P_running m2 ->
-    m1.label_h = m2.label_h && m1.seq = m2.seq && m1.resps_len = m2.resps_len
-    && m1.resps_h = m2.resps_h
-    && (m1.label == m2.label || String.equal m1.label m2.label)
-       (* scripts hand out the same physical label string every time, so
-          the string walk virtually never runs *)
-    && resps_equal m1.resps_rev m2.resps_rev
-    && snap_equal m1.snap m2.snap
+    running_heads_equal m1 m2 && snap_equal m1.snap m2.snap
   | P_idle _, P_running _ | P_running _, P_idle _ -> false
 
 let metas_equal (a : pmeta array) (b : pmeta array) =
@@ -275,32 +288,31 @@ let fmix h =
 let rec hash_snap (s : int array) i h =
   if i >= Array.length s then h else hash_snap s (i + 1) (mix h s.(i))
 
+let idle_hash i c r =
+  fmix
+    (mix
+       (mix (mix ((i + 1) * 0x9E3779B9) 5) c)
+       (match r with None -> min_int | Some v -> v))
+
+(* A running slot's hash before its snapshot is folded in. *)
+let running_head_hash i m =
+  mix
+    (mix (mix (mix (mix ((i + 1) * 0x9E3779B9) 7) m.label_h) m.seq) m.resps_len)
+    m.resps_h
+
 (* Hash of one process's control point, salted by its pid and finalized
    by [fmix].  The state hash is the plain integer sum of the slot hashes
    (plus [Memory.fp_hash]): addition commutes, so the sum can be maintained
-   incrementally — each move changes exactly one slot, and [apply_move]
-   swaps that slot's contribution out and in — making the per-node hashing
-   cost O(1) slots instead of a walk over all of them.  [fp_equal] decides
+   incrementally — each move changes exactly one slot, and a move swaps
+   that slot's contribution out and in — making the per-node hashing cost
+   O(1) slots instead of a walk over all of them.  [fp_equal] decides
    matches exactly, so collisions cost time, never soundness. *)
 let slot_hash (i : int) = function
-  | P_idle (c, r) ->
-    fmix
-      (mix
-         (mix (mix ((i + 1) * 0x9E3779B9) 5) c)
-         (match r with None -> min_int | Some v -> v))
-  | P_running m ->
-    fmix
-      (hash_snap m.snap 0
-         (mix
-            (mix
-               (mix (mix (mix ((i + 1) * 0x9E3779B9) 7) m.label_h) m.seq)
-               m.resps_len)
-            m.resps_h))
+  | P_idle (c, r) -> idle_hash i c r
+  | P_running m -> fmix (hash_snap m.snap 0 (running_head_hash i m))
 
 (* Full slot-hash sum of a metadata array — the non-incremental form of
-   the state hash, used at the root and whenever canonicalization has
-   relabeled slots (the sum is index-salted, so a relabeled array cannot
-   reuse the incrementally maintained value). *)
+   the state hash, used at the root. *)
 let mh_full (meta : pmeta array) =
   let h = ref 0 in
   for i = 0 to Array.length meta - 1 do
@@ -322,8 +334,8 @@ let mh_swap mh (meta : pmeta array) p pm =
    reduction maps each state's {e dedup key} (never the live search state)
    to a canonical orbit representative: sort the interchangeable slots of
    the metadata array by a permutation-invariant total order, relabel every
-   slot's start snapshot by the resulting permutation, and recompute the
-   slot-hash sum over the canonical array.  Pruning a state because its
+   slot's start snapshot by the resulting permutation, and take the
+   slot-hash sum of the relabeled array.  Pruning a state because its
    orbit was visited is sound whenever (a) the symmetric pids run literally
    interchangeable scripts — same labels, same invocation/response trees —
    so futures correspond under the permutation, (b) no symmetric pid
@@ -348,27 +360,107 @@ let mh_swap mh (meta : pmeta array) p pm =
    the real state under an actual permutation, so every pruned state has a
    genuinely explored orbit representative.
 
+   None of this allocates until a state turns out to be new.  The
+   permutation is found in per-task {!scratch}; the canonical hash and the
+   comparison against stored keys read the raw array through the inverse
+   permutation ({!Fp_intern.intern_with} probes, then materializes); only a
+   miss builds the relabeled array.
+
    Sleep sets cross the same boundary: the antichain entries recorded for
    an orbit id live in {e canonical} pid coordinates, so the probing
    state's sleep set is mapped through the same permutation before the
    subset test — comparing raw sleep pids against a twin's entries would
    prune interleavings no representative explored. *)
 
-type sym_ctx = {
+(* Per-task canonicalization scratch; also the probe {!Fp_intern} matches
+   stored keys against.  Nothing here is shared between tasks. *)
+type scratch = {
   sym_arr : int array; (* the interchangeable pids, ascending *)
   is_sym : bool array; (* indexed by pid: membership in [sym_arr] *)
+  order : int array; (* [sym_arr] sorted by the slot comparator *)
+  perm : int array; (* old pid -> canonical pid *)
+  inv : int array; (* canonical pid -> old pid *)
+  oth_a : int array; (* the two snapshots' other symmetric entries *)
+  oth_b : int array;
+  mutable s_meta : pmeta array; (* the array being canonicalized/probed *)
+  mutable s_mem : Memory.t; (* the probed state's memory *)
+  mutable relabeled : bool; (* [perm] is not the identity *)
 }
 
-let sym_ctx ~n symmetry =
+(* Scratch for [n]-process arrays.  With fewer than two interchangeable
+   pids there is nothing to canonicalize, and it only carries probes. *)
+let scratch ~n ~mem symmetry =
   let arr =
     Array.of_list
       (Pid_set.elements (Pid_set.filter (fun p -> p >= 0 && p < n) symmetry))
   in
-  if Array.length arr < 2 then None
+  let k = Array.length arr in
+  let is_sym = Array.make n false in
+  Array.iter (fun p -> is_sym.(p) <- true) arr;
+  { sym_arr = arr;
+    is_sym;
+    order = Array.make k 0;
+    perm = Array.init n Fun.id;
+    inv = Array.init n Fun.id;
+    oth_a = Array.make (max 0 (k - 1)) 0;
+    oth_b = Array.make (max 0 (k - 1)) 0;
+    s_meta = [||];
+    s_mem = mem;
+    relabeled = false }
+
+(* [Stdlib.Array.sort]'s ternary heap sort, specialized to int arrays and
+   an explicit comparator context, with its [Bottom] exception replaced by
+   a [-1] son.  It makes the same comparisons in the same order, so it
+   returns what [Array.sort] returns — which matters here: with tied sort
+   keys the canonical form depends on the exact algorithm. *)
+let maxson cmp c (a : int array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if cmp c a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if cmp c a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && cmp c a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickle cmp c (a : int array) l i e =
+  let j = maxson cmp c a l i in
+  if j >= 0 && cmp c a.(j) e > 0 then begin
+    a.(i) <- a.(j);
+    trickle cmp c a l j e
+  end
+  else a.(i) <- e
+
+let rec bubble cmp c (a : int array) l i =
+  let j = maxson cmp c a l i in
+  if j < 0 then i
   else begin
-    let is_sym = Array.make n false in
-    Array.iter (fun p -> is_sym.(p) <- true) arr;
-    Some { sym_arr = arr; is_sym }
+    a.(i) <- a.(j);
+    bubble cmp c a l j
+  end
+
+let rec trickleup cmp c (a : int array) i e =
+  let father = (i - 1) / 3 in
+  if cmp c a.(father) e < 0 then begin
+    a.(i) <- a.(father);
+    if father > 0 then trickleup cmp c a father e else a.(0) <- e
+  end
+  else a.(i) <- e
+
+let heap_sort cmp c (a : int array) =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle cmp c a l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup cmp c a (bubble cmp c a i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
   end
 
 let cmp_value_opt a b =
@@ -387,30 +479,56 @@ let rec cmp_ints l1 l2 =
     let c = Int.compare x y in
     if c <> 0 then c else cmp_ints t1 t2
 
+let rec cmp_pinned (is_sym : bool array) (s1 : int array) (s2 : int array) i =
+  if i >= Array.length s1 then 0
+  else if is_sym.(i) then cmp_pinned is_sym s1 s2 (i + 1)
+  else
+    let c = Int.compare s1.(i) s2.(i) in
+    if c <> 0 then c else cmp_pinned is_sym s1 s2 (i + 1)
+
+(* [dst] := the entries of [s] at the symmetric pids other than [self],
+   sorted ascending (insertion sort: [dst] holds one entry per other
+   waiter). *)
+let others_sorted (sym_arr : int array) (s : int array) self (dst : int array) =
+  let len = ref 0 in
+  for r = 0 to Array.length sym_arr - 1 do
+    let q = sym_arr.(r) in
+    if q <> self then begin
+      let v = s.(q) in
+      let j = ref !len in
+      while !j > 0 && dst.(!j - 1) > v do
+        dst.(!j) <- dst.(!j - 1);
+        decr j
+      done;
+      dst.(!j) <- v;
+      incr len
+    end
+  done
+
+let rec cmp_sorted (a : int array) (b : int array) i =
+  if i >= Array.length a then 0
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else cmp_sorted a b (i + 1)
+
 (* Permutation-invariant comparison of two symmetric slots' start
    snapshots: pinned entries in pid order, own entry, sorted multiset of
-   the other symmetric entries. *)
-let cmp_snap_view ctx (a : int) (b : int) (s1 : int array) (s2 : int array) =
-  let n = Array.length s1 in
-  let c = ref 0 and i = ref 0 in
-  while !c = 0 && !i < n do
-    if not ctx.is_sym.(!i) then c := Int.compare s1.(!i) s2.(!i);
-    incr i
-  done;
-  if !c <> 0 then !c
+   the other symmetric entries (both multisets have one entry per other
+   waiter, so comparing them sorted is comparing them as multisets). *)
+let cmp_snap_view sc (a : int) (b : int) (s1 : int array) (s2 : int array) =
+  let c = cmp_pinned sc.is_sym s1 s2 0 in
+  if c <> 0 then c
   else
     let c = Int.compare s1.(a) s2.(b) in
     if c <> 0 then c
-    else
-      let others (s : int array) self =
-        let l = ref [] in
-        Array.iter (fun q -> if q <> self then l := s.(q) :: !l) ctx.sym_arr;
-        List.sort Int.compare !l
-      in
-      cmp_ints (others s1 a) (others s2 b)
+    else begin
+      others_sorted sc.sym_arr s1 a sc.oth_a;
+      others_sorted sc.sym_arr s2 b sc.oth_b;
+      cmp_sorted sc.oth_a sc.oth_b 0
+    end
 
-let cmp_slot ctx (meta : pmeta array) (a : int) (b : int) =
-  match (meta.(a), meta.(b)) with
+let cmp_slot sc (a : int) (b : int) =
+  match (sc.s_meta.(a), sc.s_meta.(b)) with
   | P_idle (c1, r1), P_idle (c2, r2) ->
     let c = Int.compare c1 c2 in
     if c <> 0 then c else cmp_value_opt r1 r2
@@ -427,7 +545,35 @@ let cmp_slot ctx (meta : pmeta array) (a : int) (b : int) =
         if c <> 0 then c
         else
           let c = cmp_ints m1.resps_rev m2.resps_rev in
-          if c <> 0 then c else cmp_snap_view ctx a b m1.snap m2.snap
+          if c <> 0 then c else cmp_snap_view sc a b m1.snap m2.snap
+
+let rec sym_sorted sc r =
+  r + 1 >= Array.length sc.sym_arr
+  || (cmp_slot sc sc.sym_arr.(r) sc.sym_arr.(r + 1) <= 0 && sym_sorted sc (r + 1))
+
+(* Find the permutation taking [meta] to its canonical orbit
+   representative: [sc.relabeled] is false when the symmetric slots are
+   already sorted (the common case), else [sc.perm]/[sc.inv] hold the
+   permutation.  Allocates nothing. *)
+let canonicalize sc (meta : pmeta array) =
+  sc.s_meta <- meta;
+  if sym_sorted sc 0 then sc.relabeled <- false
+  else begin
+    let arr = sc.sym_arr and order = sc.order in
+    let perm = sc.perm and inv = sc.inv in
+    Array.blit arr 0 order 0 (Array.length arr);
+    heap_sort cmp_slot sc order;
+    for p = 0 to Array.length perm - 1 do
+      perm.(p) <- p
+    done;
+    for r = 0 to Array.length order - 1 do
+      perm.(order.(r)) <- arr.(r)
+    done;
+    for p = 0 to Array.length perm - 1 do
+      inv.(perm.(p)) <- p
+    done;
+    sc.relabeled <- true
+  end
 
 (* Image of the metadata array under [perm] (old pid -> canonical pid):
    slot [p] moves to [perm.(p)] and every running slot's snapshot — the
@@ -451,25 +597,61 @@ let apply_perm (perm : int array) (meta : pmeta array) =
   done;
   out
 
-(* Canonical orbit representative of [meta]'s dedup key: [meta] itself
-   (and [None]) when the symmetric slots are already sorted — the common
-   case, kept allocation-free — else the relabeled array and the
-   permutation that produced it. *)
-let canonical ctx (meta : pmeta array) =
-  let k = Array.length ctx.sym_arr in
-  let sorted = ref true in
-  for r = 0 to k - 2 do
-    if !sorted && cmp_slot ctx meta ctx.sym_arr.(r) ctx.sym_arr.(r + 1) > 0
-    then sorted := false
+(* The same facts about the relabeled array, read through [inv] (canonical
+   pid -> old pid) without building it: entry [i] of a relabeled snapshot
+   is entry [inv.(i)] of the raw one. *)
+let rec hash_snap_via (inv : int array) (s : int array) i h =
+  if i >= Array.length s then h
+  else hash_snap_via inv s (i + 1) (mix h s.(inv.(i)))
+
+(* [mh_full (apply_perm sc.perm sc.s_meta)]. *)
+let mh_relabeled sc =
+  let meta = sc.s_meta and perm = sc.perm and inv = sc.inv in
+  let h = ref 0 in
+  for p = 0 to Array.length meta - 1 do
+    let i = perm.(p) in
+    h :=
+      !h
+      +
+      match meta.(p) with
+      | P_idle (c, r) -> idle_hash i c r
+      | P_running m -> fmix (hash_snap_via inv m.snap 0 (running_head_hash i m))
   done;
-  if !sorted then (meta, None)
-  else begin
-    let order = Array.copy ctx.sym_arr in
-    Array.sort (fun a b -> cmp_slot ctx meta a b) order;
-    let perm = Array.init (Array.length meta) Fun.id in
-    Array.iteri (fun r p -> perm.(p) <- ctx.sym_arr.(r)) order;
-    (apply_perm perm meta, Some perm)
-  end
+  !h
+
+let snap_equal_via (inv : int array) (canon : int array) (raw : int array) =
+  Array.length canon = Array.length raw
+  &&
+  let rec go i = i < 0 || (canon.(i) = raw.(inv.(i)) && go (i - 1)) in
+  go (Array.length canon - 1)
+
+(* [pmeta_equal stored (slot of the relabeled array)], the latter given as
+   its raw slot. *)
+let pmeta_equal_via inv stored raw =
+  match (stored, raw) with
+  | P_running m1, P_running m2 ->
+    running_heads_equal m1 m2 && snap_equal_via inv m1.snap m2.snap
+  | _ -> pmeta_equal stored raw
+
+(* The probe side of {!Fp_intern.intern_with}: whether a stored key equals
+   the scratch's state, canonicalized when [sc.relabeled]. *)
+let probe_equal (key : fp) sc =
+  let meta = sc.s_meta in
+  (if sc.relabeled then
+     let inv = sc.inv and stored = key.fp_meta in
+     Array.length stored = Array.length meta
+     &&
+     let rec go i =
+       i < 0 || (pmeta_equal_via inv stored.(i) meta.(inv.(i)) && go (i - 1))
+     in
+     go (Array.length meta - 1)
+   else metas_equal key.fp_meta meta)
+  && Memory.same_fingerprint key.fp_mem sc.s_mem
+
+let canonical_meta sc =
+  if sc.relabeled then apply_perm sc.perm sc.s_meta else sc.s_meta
+
+let probe_key sc = { fp_mem = sc.s_mem; fp_meta = canonical_meta sc }
 
 (* Script-level symmetry detection: of the candidate (pid, first-call)
    pairs, the group of pids whose calls are literally interchangeable with
@@ -477,18 +659,23 @@ let canonical ctx (meta : pmeta array) =
    given response domain (invocations compared structurally at every node,
    continuations followed for every value in [values]) — with [Ll]
    refused anywhere in the tree (a load-link records its pid in the
-   memory fingerprint, breaking permutation invariance).  [fuel] bounds
-   the total nodes visited per comparison; exhausting it declines that
-   candidate (sound: detection failure only loses reduction).  The check
-   is exact for programs whose response branching is covered by [values]
-   — {!Analysis.Lint.value_domain} covers every catalog algorithm — and
-   the caller remains responsible for the property's symmetry.  Pids
-   outside the returned set (signalers, asymmetric waiters) stay pinned. *)
+   memory fingerprint, breaking permutation invariance).  A continuation
+   that raises on a value (the domain is a superset of what the program
+   can really receive — e.g. an index decoded from the pid-option NIL code)
+   is a stuck leaf, as in {!Analysis.Cfg.extract}: two stuck leaves match,
+   a stuck leaf against a live one does not.  [fuel] bounds the total
+   nodes visited per comparison; exhausting it declines that candidate
+   (sound: detection failure only loses reduction).  The check is exact
+   for programs whose response branching is covered by [values] —
+   {!Analysis.Lint.value_domain} covers every catalog algorithm — and the
+   caller remains responsible for the property's symmetry.  Pids outside
+   the returned set (signalers, asymmetric waiters) stay pinned. *)
 let detect_symmetry ?(fuel = 4096) ~values candidates =
   match candidates with
   | [] | [ _ ] -> Pid_set.empty
   | (p0, (label0, prog0)) :: rest ->
     let nodes = ref fuel in
+    let cont k v = match k v with p -> Some p | exception _ -> None in
     let rec bisim p q =
       decr nodes;
       !nodes >= 0
@@ -498,7 +685,13 @@ let detect_symmetry ?(fuel = 4096) ~values candidates =
       | Program.Step (i1, k1), Program.Step (i2, k2) ->
         Op.invocation_equal i1 i2
         && (match i1 with Op.Ll _ -> false | _ -> true)
-        && List.for_all (fun v -> bisim (k1 v) (k2 v)) values
+        && List.for_all
+             (fun v ->
+               match (cont k1 v, cont k2 v) with
+               | None, None -> true
+               | Some p', Some q' -> bisim p' q'
+               | None, Some _ | Some _, None -> false)
+             values
       | Program.Return _, Program.Step _ | Program.Step _, Program.Return _
         ->
         false
@@ -527,8 +720,8 @@ let detect_symmetry ?(fuel = 4096) ~values candidates =
    equal bytes iff equal fingerprints.  The metadata section comes first —
    every variable-length field is length-prefixed, so it is uniquely
    parseable and the memory section that follows cannot alias into it.
-   Only [fp_equal]'s fields are encoded (no [program], no [begun], no
-   derived hashes). *)
+   Only [fp_equal]'s fields are encoded (no [program], no derived
+   hashes). *)
 let add_i64 buf (v : int) = Buffer.add_int64_le buf (Int64.of_int v)
 
 let encode_key buf (meta : pmeta array) mem =
@@ -568,86 +761,216 @@ let hash_bytes (s : string) =
 let antichain_bytes (l : Pid_set.t list) =
   List.fold_left (fun acc s -> acc + 48 + (24 * Pid_set.cardinal s)) 16 l
 
-(* Execute one move, maintaining the per-process metadata in lockstep with
-   the machine.  Returns the new machine, the new metadata, and whether
-   the move completed a call (the only transitions on which the property
-   verdict can change).  Completion and results are derived from the
-   tracked program — the same physical closure the machine is running —
-   so no machine state is queried back except the step's response. *)
+(* --- search nodes and stepping --- *)
+
+(* A search node: everything a move reads or a dedup key retains.  All of
+   it is persistent — branching is just retaining a binding.  [counts] is
+   the completed-call count per pid, under the invariant that
+   [counts.(q)] is the number of calls [q] has completed (no crashes
+   happen under the explorer, so an idle process has completed everything
+   it began and a running one everything but the call in flight).  Like
+   [meta] it is copy-on-write ([bump] copies, nothing mutates a shared
+   array), which is what lets a begin adopt the current array as its
+   [snap] without copying: most snapshots are then physically shared, so
+   [snap_equal]'s [==] shortcut fires and no per-begin allocation runs. *)
+type node = {
+  mem : Memory.t;
+  model : Cost_model.t; (* the caller's model, stepped per operation *)
+  clock : int; (* the event clock, ticking exactly as [Sim]'s does *)
+  meta : pmeta array;
+  counts : int array;
+  mh : int; (* incrementally-maintained slot-hash sum of [meta] *)
+  log : History.call list; (* completed calls, most recent first *)
+}
+
+let root ~model ~layout ~n =
+  { mem = Memory.create layout;
+    model;
+    clock = 0;
+    meta = meta0 n;
+    counts = Array.make n 0;
+    mh = mh0 n;
+    log = [] }
+
+(* Start time and RMR/step tallies of each process's call in flight.  Only
+   the property's call records read them, so they stay out of the nodes
+   (and out of the dedup keys the nodes' metadata becomes): one mutable
+   copy per task, written by a move and restored when the search
+   backtracks over it. *)
+type tally = { started : int array; rmrs : int array; steps : int array }
+
+let tally0 n =
+  { started = Array.make n 0; rmrs = Array.make n 0; steps = Array.make n 0 }
+
+let copy_tally t =
+  { started = Array.copy t.started;
+    rmrs = Array.copy t.rmrs;
+    steps = Array.copy t.steps }
+
 let set (meta : pmeta array) p pm =
   let meta' = Array.copy meta in
   meta'.(p) <- pm;
   meta'
 
-(* The search threads [counts], the completed-call count per pid, alongside
-   [meta] under the invariant that [counts.(q)] is the number of calls [q]
-   has completed (no crashes happen under the explorer, so an idle process
-   has completed everything it began and a running one everything but the
-   call in flight).  Like [meta] it is copy-on-write ([bump] copies, nothing mutates a
-   shared array), which is what lets a begin adopt the current array as its
-   [snap] without copying: most snapshots are then physically shared, so
-   [snap_equal]'s [==] shortcut fires and no per-begin allocation runs. *)
 let bump (counts : int array) p =
   let c = Array.copy counts in
   c.(p) <- c.(p) + 1;
   c
 
-let apply_move sim (meta : pmeta array) (counts : int array) mh p = function
-  | M_begin (label, program) -> (
-    let begun =
+(* The calls the property judges, in unspecified order: the completed log
+   plus one record per call in flight — what [Sim.calls] returns for the
+   same history. *)
+let calls tl node =
+  let meta = node.meta in
+  let rec pending p acc =
+    if p < 0 then acc
+    else
       match meta.(p) with
+      | P_idle _ -> pending (p - 1) acc
+      | P_running m ->
+        pending (p - 1)
+          ({ History.c_pid = p;
+             c_label = m.label;
+             c_seq = m.seq;
+             c_started = tl.started.(p);
+             c_finished = None;
+             c_result = None;
+             c_rmrs = tl.rmrs.(p);
+             c_steps = tl.steps.(p) }
+          :: acc)
+  in
+  pending (Array.length meta - 1) node.log
+
+(* The child in which [p] runs [pm], one tick later. *)
+let running_child node ~mem ~model p pm =
+  { node with
+    mem;
+    model;
+    clock = node.clock + 1;
+    meta = set node.meta p pm;
+    mh = mh_swap node.mh node.meta p pm }
+
+(* The child in which [p]'s call [label]#[seq] has returned [v]: one tick
+   for its begin or last step, one for the completion, as in [Sim]. *)
+let completed_child node ~mem ~model p ~label ~seq ~started ~rmrs ~steps v =
+  let pm = P_idle (seq + 1, Some v) in
+  let call =
+    { History.c_pid = p;
+      c_label = label;
+      c_seq = seq;
+      c_started = started;
+      c_finished = Some (node.clock + 1);
+      c_result = Some v;
+      c_rmrs = rmrs;
+      c_steps = steps }
+  in
+  { mem;
+    model;
+    clock = node.clock + 2;
+    meta = set node.meta p pm;
+    counts = bump node.counts p;
+    mh = mh_swap node.mh node.meta p pm;
+    log = call :: node.log }
+
+(* Execute [p]'s move [mv]: the child node.  [p]'s tallies are set for the
+   child; the caller restores them when it backtracks over the move (see
+   [restoring]). *)
+let step tl node p mv =
+  match mv with
+  | M_begin (label, program) -> (
+    let seq =
+      match node.meta.(p) with
       | P_idle (b, _) -> b
       | P_running _ -> assert false
     in
-    let sim' = Sim.begin_call sim p ~label program in
     match program with
     | Program.Return v ->
       (* zero-step call: completed on the spot *)
-      let pm = P_idle (begun + 1, Some v) in
-      (sim', set meta p pm, bump counts p, mh_swap mh meta p pm, true)
+      completed_child node ~mem:node.mem ~model:node.model p ~label ~seq
+        ~started:node.clock ~rmrs:0 ~steps:0 v
     | Program.Step _ ->
-      let pm =
-        P_running
-          { program;
-            label;
-            label_h = Hashtbl.hash label;
-            seq = begun;
-            begun = begun + 1;
-            resps_rev = [];
-            resps_len = 0;
-            resps_h = 0;
-            snap = counts }
-      in
-      (sim', set meta p pm, counts, mh_swap mh meta p pm, false))
+      tl.started.(p) <- node.clock;
+      tl.rmrs.(p) <- 0;
+      tl.steps.(p) <- 0;
+      running_child node ~mem:node.mem ~model:node.model p
+        (P_running
+           { program;
+             label;
+             label_h = Hashtbl.hash label;
+             seq;
+             resps_rev = [];
+             resps_len = 0;
+             resps_h = 0;
+             snap = node.counts }))
   | M_advance _ -> (
     let m =
-      match meta.(p) with
+      match node.meta.(p) with
       | P_running m -> m
       | P_idle _ -> assert false
     in
-    let k =
+    let inv, k =
       match m.program with
-      | Program.Step (_, k) -> k
+      | Program.Step (inv, k) -> (inv, k)
       | Program.Return _ -> assert false
     in
-    let sim' = Sim.advance sim p in
-    let resp =
-      match Sim.last_response sim' with Some v -> v | None -> assert false
+    let { Memory.memory = mem; response; wrote; read_from = _ } =
+      Memory.apply node.mem ~pid:p inv
     in
-    match k resp with
+    let model, { Cost_model.rmr; messages = _ } =
+      Cost_model.account node.model p inv ~wrote
+    in
+    let rmrs = tl.rmrs.(p) + if rmr then 1 else 0 and steps = tl.steps.(p) + 1 in
+    match k response with
     | Program.Return v ->
-      let pm = P_idle (m.begun, Some v) in
-      (sim', set meta p pm, bump counts p, mh_swap mh meta p pm, true)
+      completed_child node ~mem ~model p ~label:m.label ~seq:m.seq
+        ~started:tl.started.(p) ~rmrs ~steps v
     | Program.Step _ as program ->
-      let pm =
-        P_running
-          { m with
-            program;
-            resps_rev = resp :: m.resps_rev;
-            resps_len = m.resps_len + 1;
-            resps_h = mix m.resps_h resp }
-      in
-      (sim', set meta p pm, counts, mh_swap mh meta p pm, false))
+      tl.rmrs.(p) <- rmrs;
+      tl.steps.(p) <- steps;
+      running_child node ~mem ~model p
+        (P_running
+           { m with
+             program;
+             resps_rev = response :: m.resps_rev;
+             resps_len = m.resps_len + 1;
+             resps_h = mix m.resps_h response }))
+
+(* Whether the move of [p] into [child] completed a call (the only
+   transitions on which the property verdict can change): [p] was running
+   before an advance and idle before a begin, so it is idle now iff a call
+   ended. *)
+let completed_by child p =
+  match child.meta.(p) with P_idle _ -> true | P_running _ -> false
+
+(* [Some path]: a violation, with the moves from where the raising search
+   started; [None]: the history cap was hit. *)
+exception Stopped of (Op.pid * move) list option
+
+(* Search [p]'s move [mv] from [node] with [f child ~completed], then put
+   [p]'s tallies back.  A violation raised below gets the move prepended
+   to its path on the way out, so the top of the search receives the path
+   from where it started. *)
+let restoring tl node ((p, mv) as pm) f =
+  let s0 = tl.started.(p) and r0 = tl.rmrs.(p) and n0 = tl.steps.(p) in
+  let child = step tl node p mv in
+  (try f child ~completed:(completed_by child p)
+   with Stopped (Some path) -> raise (Stopped (Some (pm :: path))));
+  tl.started.(p) <- s0;
+  tl.rmrs.(p) <- r0;
+  tl.steps.(p) <- n0
+
+(* The violating history as a full-history machine: the recorded move
+   path replayed from scratch on [Sim] under the caller's model.  Moves
+   are deterministic, so this is exactly the state the search judged. *)
+let replay ~model ~layout ~n path =
+  List.fold_left
+    (fun sim (p, mv) ->
+      match mv with
+      | M_begin (label, program) -> Sim.begin_call sim p ~label program
+      | M_advance _ -> Sim.advance sim p)
+    (Sim.create ~model ~layout ~n) path
+
+(* --- sleep sets --- *)
 
 (* Sleep set for the child reached by executing [p]'s move [mv]: of the
    processes asleep here or already explored as older siblings, keep those
@@ -699,10 +1022,9 @@ let child_sleep ~por ~commute ~completed ms sleep explored mv =
 (* --- subtree exploration --- *)
 
 type task = {
-  t_sim : Sim.t;
-  t_meta : pmeta array;
-  t_counts : int array; (* completed calls per pid, in lockstep with t_meta *)
-  t_mh : int; (* incrementally-maintained slot-hash sum of t_meta *)
+  t_node : node;
+  t_tally : tally; (* the node's tallies; each run searches a copy *)
+  t_path : (Op.pid * move) list; (* moves from the root to the node *)
   t_sleep : Pid_set.t;
   t_depth : int;
   t_completed : bool; (* the move into this node completed a call *)
@@ -715,7 +1037,7 @@ type sub = {
   s_dedup : int;
   s_por : int;
   s_maxd : int;
-  s_violation : Sim.t option;
+  s_violation : (Op.pid * move) list option; (* the path from the root *)
   s_capped : bool;
   s_orbit : int; (* dedup hits whose canonical key was relabeled *)
   s_fp_distinct : int;
@@ -752,8 +1074,6 @@ let take_lease pool =
   in
   go ()
 
-exception Stopped of Sim.t option (* [Some sim]: violation; [None]: cap hit *)
-
 (* Depth-first exploration of one subtree with a private visited table and
    history allowance.  With [B_fixed] the result is a pure function of the
    task and the budget; with [B_shared] only the {e stop point} may vary
@@ -761,15 +1081,15 @@ exception Stopped of Sim.t option (* [Some sim]: violation; [None]: cap hit *)
    leaf — which is what lets [check] reconcile shared-lease runs against
    the fixed-budget semantics without re-exploring completed tasks. *)
 let explore_subtree ~dedup ~por ~commute ~property ~scripts
-    ~max_steps_per_history ~budget ~sym ~disk task =
+    ~max_steps_per_history ~budget ~symmetry ~disk task =
   (* State identity: (incremental hash, exact key) pairs interned to dense
      ints; the visited table and its sleep-set antichains then key on
-     ints.  Both tables are task-private, so no synchronization.  With
-     [disk = Some (dir, budget_bytes, seg_keys)] the keys are byte-encoded
-     instead and both tables live in a {!Spill} store whose segments page
-     out to [dir] under the byte budget; the dedup decisions are identical
-     (the encoding is faithful to [fp_equal]), only the counters gain
-     spill telemetry. *)
+     ints.  Both tables and the canonicalization scratch are task-private,
+     so no synchronization.  With [disk = Some (dir, budget_bytes,
+     seg_keys)] the keys are byte-encoded instead and both tables live in
+     a {!Spill} store whose segments page out to [dir] under the byte
+     budget; the dedup decisions are identical (the encoding is faithful
+     to [fp_equal]), only the counters gain spill telemetry. *)
   let intern : fp Fp_intern.t = Fp_intern.create ~equal:fp_equal () in
   let store =
     match disk with
@@ -780,6 +1100,11 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
            ~chain_bytes:antichain_bytes ())
   in
   let buf = Buffer.create 256 in
+  let sc =
+    scratch ~n:(Array.length task.t_node.meta) ~mem:task.t_node.mem symmetry
+  in
+  let symmetric = Array.length sc.sym_arr >= 2 in
+  let tl = copy_tally task.t_tally in
   (* Sleep-set antichains, indexed directly by interned id: ids are dense
      (0, 1, 2, ...), so a growable array replaces a second hash lookup. *)
   let visited : Pid_set.t list array ref = ref (Array.make 1024 []) in
@@ -797,9 +1122,10 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
   let dedup_hits = ref 0 and por_prunes = ref 0 and maxd = ref 0 in
   let orbit_hits = ref 0 in
   let credits = ref 0 in (* leaves we may still count before refilling *)
-  let leaf ~checked sim =
+  let leaf ~checked node =
     incr histories;
-    if (not checked) && not (property sim) then raise (Stopped (Some sim));
+    if (not checked) && not (property (calls tl node)) then
+      raise (Stopped (Some []));
     decr credits;
     if !credits = 0 then begin
       (match budget with
@@ -808,7 +1134,19 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
       if !credits = 0 then raise (Stopped None)
     end
   in
-  let rec visit sim meta counts mh sleep depth ~completed =
+  (* Prune iff a prior visit (of the orbit) had a sleep set no larger (so
+     no fewer awake moves); else record this visit's sleep set in the
+     ⊆-antichain. *)
+  let seen entries csleep record =
+    if List.exists (fun sl -> Pid_set.subset sl csleep) entries then true
+    else begin
+      record
+        (csleep
+        :: List.filter (fun sl -> not (Pid_set.subset csleep sl)) entries);
+      false
+    end
+  in
+  let rec visit node sleep depth ~completed =
     incr states;
     if depth > !maxd then maxd := depth;
     (* The verdict can change only when a call completes; checking there
@@ -816,109 +1154,78 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
        prefix is judged before its extensions are shared or discarded. *)
     let checked =
       completed
-      && (if property sim then true else raise (Stopped (Some sim)))
+      && (property (calls tl node) || raise (Stopped (Some [])))
     in
     if depth >= max_steps_per_history then begin
       incr truncated;
-      leaf ~checked sim
+      leaf ~checked node
     end
     else
-      match moves scripts meta sim with
-      | [] -> leaf ~checked sim
+      match moves scripts node.meta with
+      | [] -> leaf ~checked node
       | ms -> (
-        let descend awake =
-          ignore
-            (List.fold_left
-               (fun explored (p, mv) ->
-                 let sim', meta', counts', mh', completed =
-                   apply_move sim meta counts mh p mv
-                 in
-                 let sleep' =
-                   child_sleep ~por ~commute ~completed ms sleep explored mv
-                 in
-                 visit sim' meta' counts' mh' sleep' (depth + 1) ~completed;
-                 Pid_set.add p explored)
-               Pid_set.empty awake)
+        let awake =
+          if Pid_set.is_empty sleep then ms
+          else List.filter (fun (p, _) -> not (Pid_set.mem p sleep)) ms
         in
-        match List.filter (fun (p, _) -> not (Pid_set.mem p sleep)) ms with
+        match awake with
         | [] ->
           (* Every enabled move is asleep: each is independent of some
              already-explored sibling order, so this branch is covered by
              a representative elsewhere; not a leaf. *)
           incr por_prunes
         | awake ->
-          let fresh =
-            (not dedup)
-            ||
-            (* The dedup key — never the live search state — is mapped to
-               its orbit-canonical representative; the sleep set crosses
-               into the same canonical coordinates before it meets the
-               antichain (recorded entries live there too). *)
-            let cmeta, perm =
-              match sym with
-              | None -> (meta, None)
-              | Some ctx -> canonical ctx meta
-            in
-            let cmh = match perm with None -> mh | Some _ -> mh_full cmeta in
-            let csleep =
-              match perm with
-              | None -> sleep
-              | Some pi -> Pid_set.map (fun q -> pi.(q)) sleep
-            in
-            let mem = Sim.memory sim in
-            (* Prune iff a prior visit (of the orbit) had a sleep set no
-               larger (so no fewer awake moves).  The remaining depth
-               budget is deliberately not compared: a revisit may arrive
-               shallower (a completed call got there in fewer spin
-               iterations) and so see a slightly deeper horizon, but
-               comparing budgets re-explores every spin state once per
-               distinct arrival depth — the dominant cost on spin-heavy
-               searches.  When no branch truncates the budget never binds
-               and pruning is exact; when one does, the run is already
-               reported incomplete. *)
-            let hit =
-              match store with
-              | None ->
-                let key = { fp_mem = mem; fp_meta = cmeta } in
-                let id =
-                  Fp_intern.intern intern
-                    ~hash:(mix (Memory.fp_hash mem) cmh)
-                    key
-                in
-                let entries = antichain id in
-                if List.exists (fun sl -> Pid_set.subset sl csleep) entries
-                then true
-                else begin
-                  !visited.(id) <-
-                    csleep
-                    :: List.filter
-                         (fun sl -> not (Pid_set.subset csleep sl))
-                         entries;
-                  false
-                end
-              | Some st ->
-                let bytes = encode_key buf cmeta mem in
-                let id = Spill.intern st ~hash:(hash_bytes bytes) bytes in
-                let entries = Spill.chain st id in
-                if List.exists (fun sl -> Pid_set.subset sl csleep) entries
-                then true
-                else begin
-                  Spill.set_chain st id
-                    (csleep
-                    :: List.filter
-                         (fun sl -> not (Pid_set.subset csleep sl))
-                         entries);
-                  false
-                end
-            in
-            if hit then begin
-              incr dedup_hits;
-              if perm <> None then incr orbit_hits;
-              false
-            end
-            else true
-          in
-          if fresh then descend awake)
+          if (not dedup) || fresh node sleep then
+            ignore
+              (List.fold_left
+                 (fun explored ((p, mv) as pm) ->
+                   restoring tl node pm (fun child ~completed ->
+                       visit child
+                         (child_sleep ~por ~commute ~completed ms sleep
+                            explored mv)
+                         (depth + 1) ~completed);
+                   Pid_set.add p explored)
+                 Pid_set.empty awake))
+  (* The dedup key — never the live search state — is mapped to its
+     orbit-canonical representative; the sleep set crosses into the same
+     canonical coordinates before it meets the antichain (recorded entries
+     live there too).  The remaining depth budget is deliberately not
+     compared: a revisit may arrive shallower (a completed call got there
+     in fewer spin iterations) and so see a slightly deeper horizon, but
+     comparing budgets re-explores every spin state once per distinct
+     arrival depth — the dominant cost on spin-heavy searches.  When no
+     branch truncates the budget never binds and pruning is exact; when
+     one does, the run is already reported incomplete. *)
+  and fresh node sleep =
+    if symmetric then canonicalize sc node.meta
+    else begin
+      sc.s_meta <- node.meta;
+      sc.relabeled <- false
+    end;
+    sc.s_mem <- node.mem;
+    let csleep =
+      if sc.relabeled then Pid_set.map (fun q -> sc.perm.(q)) sleep else sleep
+    in
+    let hit =
+      match store with
+      | None ->
+        let cmh = if sc.relabeled then mh_relabeled sc else node.mh in
+        let id =
+          Fp_intern.intern_with intern
+            ~hash:(mix (Memory.fp_hash node.mem) cmh)
+            ~equal:probe_equal ~make:probe_key sc
+        in
+        seen (antichain id) csleep (fun l -> !visited.(id) <- l)
+      | Some st ->
+        let bytes = encode_key buf (canonical_meta sc) node.mem in
+        let id = Spill.intern st ~hash:(hash_bytes bytes) bytes in
+        seen (Spill.chain st id) csleep (Spill.set_chain st id)
+    in
+    if hit then begin
+      incr dedup_hits;
+      if sc.relabeled then incr orbit_hits
+    end;
+    not hit
   in
   let initial_credits =
     match budget with B_fixed n -> max 0 n | B_shared pool -> take_lease pool
@@ -929,11 +1236,12 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
       credits := initial_credits;
       let outcome =
         match
-          visit task.t_sim task.t_meta task.t_counts task.t_mh task.t_sleep
-            task.t_depth ~completed:task.t_completed
+          visit task.t_node task.t_sleep task.t_depth
+            ~completed:task.t_completed
         with
         | () -> (None, false)
-        | exception Stopped v -> (v, v = None)
+        | exception Stopped None -> (None, true)
+        | exception Stopped (Some path) -> (Some (task.t_path @ path), false)
       in
       (* Return what we did not consume, so later tasks can lease it. *)
       (match budget with
@@ -986,25 +1294,26 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
    [split_depth] nodes as independent tasks, in DFS order.  The expansion
    never dedups — frontier nodes must all be produced so that the task
    list, and hence the merged verdict, is a pure function of the input. *)
-let expand ~por ~commute ~property ~scripts ~n ~max_steps_per_history
-    ~max_histories ~split_depth sim0 =
+let expand ~por ~commute ~property ~scripts ~max_steps_per_history
+    ~max_histories ~split_depth root =
   let tasks = ref [] in
   let histories = ref 0 and truncated = ref 0 and states = ref 0 in
   let maxd = ref 0 in
-  let leaf ~checked sim =
+  let tl = tally0 (Array.length root.meta) in
+  let leaf ~checked node =
     incr histories;
-    if (not checked) && not (property sim) then raise (Stopped (Some sim));
+    if (not checked) && not (property (calls tl node)) then
+      raise (Stopped (Some []));
     if !histories >= max_histories then raise (Stopped None)
   in
-  let rec visit sim meta counts mh sleep depth ~completed =
-    if depth >= split_depth && moves scripts meta sim <> []
+  let rec visit node path_rev sleep depth ~completed =
+    if depth >= split_depth && moves scripts node.meta <> []
        && depth < max_steps_per_history
     then
       tasks :=
-        { t_sim = sim;
-          t_meta = meta;
-          t_counts = counts;
-          t_mh = mh;
+        { t_node = node;
+          t_tally = copy_tally tl;
+          t_path = List.rev path_rev;
           t_sleep = sleep;
           t_depth = depth;
           t_completed = completed }
@@ -1014,38 +1323,33 @@ let expand ~por ~commute ~property ~scripts ~n ~max_steps_per_history
       if depth > !maxd then maxd := depth;
       let checked =
         completed
-        && (if property sim then true else raise (Stopped (Some sim)))
+        && (property (calls tl node) || raise (Stopped (Some [])))
       in
       if depth >= max_steps_per_history then begin
         incr truncated;
-        leaf ~checked sim
+        leaf ~checked node
       end
       else
-        match moves scripts meta sim with
-        | [] -> leaf ~checked sim
+        match moves scripts node.meta with
+        | [] -> leaf ~checked node
         | ms ->
           ignore
             (List.fold_left
-               (fun explored (p, mv) ->
+               (fun explored ((p, mv) as pm) ->
                  if Pid_set.mem p sleep then explored
                  else begin
-                   let sim', meta', counts', mh', completed =
-                     apply_move sim meta counts mh p mv
-                   in
-                   let sleep' =
-                     child_sleep ~por ~commute ~completed ms sleep explored mv
-                   in
-                   visit sim' meta' counts' mh' sleep' (depth + 1) ~completed;
+                   restoring tl node pm (fun child ~completed ->
+                       visit child (pm :: path_rev)
+                         (child_sleep ~por ~commute ~completed ms sleep
+                            explored mv)
+                         (depth + 1) ~completed);
                    Pid_set.add p explored
                  end)
                Pid_set.empty ms)
     end
   in
   let stopped =
-    match
-      visit sim0 (meta0 n) (Array.make n 0) (mh0 n) Pid_set.empty 0
-        ~completed:false
-    with
+    match visit root [] Pid_set.empty 0 ~completed:false with
     | () -> None
     | exception Stopped v -> Some v
   in
@@ -1071,15 +1375,14 @@ let zero_capped_sub =
     s_spill_reloads = 0 }
 
 let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
-    ?(dedup = true) ?(por = true) ?(commute = Op.commute) ?(lean = true)
-    ?(jobs = 1) ?(split_depth = default_split_depth)
-    ?(symmetry = Pid_set.empty) ?mem_budget ?spill_dir
-    ?(spill_seg_keys = 4096) ~layout ~model ~n ~scripts ~property () =
+    ?(dedup = true) ?(por = true) ?(commute = Op.commute) ?(jobs = 1)
+    ?(split_depth = default_split_depth) ?(symmetry = Pid_set.empty)
+    ?mem_budget ?spill_dir ?(spill_seg_keys = 4096) ~layout ~model ~n ~scripts
+    ~property () =
   (* Monotonic wall clock, not [Sys.time] (which is CPU time and so *shrinks*
      relative to elapsed time exactly when [jobs] > 1 parallelizes the search
      — or inflates, summing across domains, depending on the runtime). *)
   let t0 = Obs.Clock.now_s () in
-  let sym = sym_ctx ~n symmetry in
   let spill_base =
     match spill_dir with
     | Some d -> d
@@ -1095,12 +1398,10 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
   (match mem_budget with
   | None -> ()
   | Some _ -> ( try Sys.mkdir spill_base 0o700 with Sys_error _ -> ()));
-  let sim0 = Sim.create ~model ~layout ~n in
-  let sim0 = if lean then Sim.lean_mode sim0 else sim0 in
   let split_depth = max 0 split_depth in
   let tasks, pre_h, pre_t, pre_states, pre_maxd, stopped =
-    expand ~por ~commute ~property ~scripts ~n ~max_steps_per_history
-      ~max_histories ~split_depth sim0
+    expand ~por ~commute ~property ~scripts ~max_steps_per_history
+      ~max_histories ~split_depth (root ~model ~layout ~n)
   in
   (* [wall_s] is computed in exactly one place — here — and every other
      reading of the elapsed time (the [explore_wall_seconds] metric) is
@@ -1112,7 +1413,7 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
       { histories;
         truncated;
         complete = violation = None && (not capped) && truncated = 0;
-        violation;
+        violation = Option.map (replay ~model ~layout ~n) violation;
         stats =
           { states;
             dedup_hits;
@@ -1152,7 +1453,7 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
        disjoint across concurrent tasks. *)
     let run_task ~suffix budget (i, task) =
       explore_subtree ~dedup ~por ~commute ~property ~scripts
-        ~max_steps_per_history ~budget ~sym
+        ~max_steps_per_history ~budget ~symmetry
         ~disk:(disk_for (Printf.sprintf "task%d%s" i suffix))
         task
     in
@@ -1253,8 +1554,9 @@ let count ?max_histories ?max_steps_per_history ~layout ~model ~n ~scripts () =
 
 (* Internal canonicalization machinery, re-exported under stable builders
    so the test suite can state the canonicalization laws (idempotence,
-   invariance under relabelings, pinned slots untouched) directly against
-   the production comparator and permutation application. *)
+   invariance under relabelings, pinned slots untouched, hash and equality
+   through the permutation agreeing with the materialized array) directly
+   against the production comparator, sort and permutation code. *)
 module Testing = struct
   type slot = pmeta
 
@@ -1266,7 +1568,6 @@ module Testing = struct
         label;
         label_h = Hashtbl.hash label;
         seq;
-        begun = seq + 1;
         resps_rev;
         resps_len = List.length resps_rev;
         resps_h = List.fold_left mix 0 (List.rev resps_rev);
@@ -1274,14 +1575,34 @@ module Testing = struct
 
   let relabel ~perm (meta : slot array) = apply_perm perm meta
 
+  let empty_mem = lazy (Memory.create (Var.Ctx.freeze (Var.Ctx.create ())))
+
+  (* The scratch after canonicalizing [meta]. *)
+  let canonicalized ~symmetry (meta : slot array) =
+    let sc =
+      scratch ~n:(Array.length meta) ~mem:(Lazy.force empty_mem) symmetry
+    in
+    if Array.length sc.sym_arr >= 2 then canonicalize sc meta
+    else sc.s_meta <- meta;
+    sc
+
   let canonicalize ~symmetry (meta : slot array) =
-    match sym_ctx ~n:(Array.length meta) symmetry with
-    | None -> (meta, false)
-    | Some ctx ->
-      let meta', perm = canonical ctx meta in
-      (meta', perm <> None)
+    let sc = canonicalized ~symmetry meta in
+    (canonical_meta sc, sc.relabeled)
+
+  let hash = mh_full
+
+  let canonical_hash ~symmetry (meta : slot array) =
+    let sc = canonicalized ~symmetry meta in
+    if sc.relabeled then mh_relabeled sc else mh_full meta
+
+  let canonical_equal ~symmetry (meta : slot array) (key : slot array) =
+    let sc = canonicalized ~symmetry meta in
+    probe_equal { fp_mem = sc.s_mem; fp_meta = key } sc
 
   let equal = metas_equal
 
   let slot_equal = pmeta_equal
+
+  let heap_sort cmp (a : int array) = heap_sort (fun f x y -> f x y) cmp a
 end

@@ -1,7 +1,7 @@
 (** Exhaustive interleaving exploration — a small-scope model checker.
 
     Enumerates the step-level interleavings of the given per-process call
-    scripts (the machine's persistent state makes branching free) and
+    scripts (the search state is persistent, so branching is free) and
     checks a property on each complete history.  Three reductions make
     exhaustive checking scale well past the naive DFS: canonical
     state-fingerprint deduplication, sleep-set partial-order reduction
@@ -9,20 +9,37 @@
     domains.  Verdicts and statistics (wall time aside) are byte-identical
     for every [jobs] value.
 
+    The search does not step a {!Sim.t}: it steps memory and the caller's
+    cost model directly, keeping exactly what the two contracts below
+    read.  A violating history is rebuilt afterwards as a full-history
+    machine (see {!result}).
+
     {b Soundness contract.}  With [dedup]/[por] on (the default), the
     property must be a function of the recorded calls' results and of
     their interval order (which call began/completed before which) — as
     Specification 4.1 and the GME occupancy predicate are — not of raw
-    timestamps, step lists or RMR counts; and scripts must decide their
+    timestamps, RMR counts or list order; and scripts must decide their
     next call from the script-visible state only (own call count, own
-    last result), as {!of_list} and {!repeat} do.  Pass [~dedup:false
+    last result), which is all a {!view} offers.  Pass [~dedup:false
     ~por:false] to recover the seed checker's literal
     one-leaf-per-interleaving semantics for arbitrary properties. *)
 
-type script = Sim.t -> Op.pid -> (string * Op.value Program.t) option
+type view
+(** What a script sees of the search state: per process, the number of
+    calls begun and the last result. *)
+
+val call_count : view -> Op.pid -> int
+(** Calls the process has begun (completed and in flight). *)
+
+val last_result : view -> Op.pid -> Op.value option
+(** Result of the process's latest call when it is idle — the only time a
+    script is consulted; [None] before its first call and while one is in
+    flight. *)
+
+type script = view -> Op.pid -> (string * Op.value Program.t) option
 (** What a process does when idle: the next call, or [None] when done.
-    Must be a pure function of the machine state — search branches share
-    nothing, so stateful closures would corrupt the enumeration. *)
+    Must be a pure function of the view — search branches share nothing,
+    so stateful closures would corrupt the enumeration. *)
 
 val of_list : (string * Op.value Program.t) list -> script
 (** Perform exactly these calls, in order. *)
@@ -30,7 +47,7 @@ val of_list : (string * Op.value Program.t) list -> script
 val repeat :
   ?limit:int -> until:(Op.value -> bool) -> string * Op.value Program.t -> script
 (** Repeat one call until its result satisfies [until] (or [limit] calls
-    have completed) — e.g. "Poll() until it returns true", the history
+    have begun) — e.g. "Poll() until it returns true", the history
     restriction of Section 4. *)
 
 type stats = {
@@ -78,7 +95,11 @@ type result = {
       (** branches cut at [max_steps_per_history] — spin loops make some
           branches infinite; truncated prefixes are still property-checked *)
   complete : bool;  (** whether every interleaving was fully enumerated *)
-  violation : Sim.t option;  (** a history falsifying the property *)
+  violation : Sim.t option;
+      (** a history falsifying the property: the search's move path
+          replayed on a fresh full-history machine under the caller's
+          [model], so {!Sim.steps}, {!Sim.calls} and {!Timeline} all work
+          on it, and it is the same for every [jobs] *)
   stats : stats;
 }
 
@@ -92,7 +113,11 @@ val detect_symmetry :
     label, and bisimilar program trees — invocations compared structurally
     at every node, continuations followed for every response in [values] —
     with [Ll] refused anywhere (a load-link records its pid in the memory
-    fingerprint, breaking permutation invariance).  Candidates are
+    fingerprint, breaking permutation invariance).  A continuation that
+    raises on a value of [values] (which may hold responses the program
+    never really receives, such as the pid-option NIL code) is a stuck
+    leaf, as in {!Analysis.Cfg.extract}: two stuck leaves match, a stuck
+    leaf against a live program does not.  Candidates are
     typically one representative call per waiter; {!repeat}-style scripts
     stay symmetric whenever their underlying call is, since they branch
     only on own-process counts and results.
@@ -115,7 +140,6 @@ val check :
   ?dedup:bool ->
   ?por:bool ->
   ?commute:(Op.invocation -> Op.invocation -> bool) ->
-  ?lean:bool ->
   ?jobs:int ->
   ?split_depth:int ->
   ?symmetry:Sim.Pid_set.t ->
@@ -126,12 +150,15 @@ val check :
   model:Cost_model.t ->
   n:int ->
   scripts:(Op.pid * script) list ->
-  property:(Sim.t -> bool) ->
+  property:(History.call list -> bool) ->
   unit ->
   result
-(** The property is evaluated whenever a call completes and at every leaf;
-    checking it on prefixes is sufficient for safety properties over
-    recorded calls (violations persist) and is what makes pruning sound.
+(** The property is evaluated whenever a call completes and at every leaf,
+    on the calls recorded so far — completed ones and those in flight, as
+    {!Sim.calls} would report them for the same history, but in
+    unspecified order; checking it on prefixes is sufficient for safety
+    properties over recorded calls (violations persist) and is what makes
+    pruning sound.  Each record's [c_rmrs] is billed under [model].
 
     [max_histories] is a deterministic budget: after the first
     [split_depth] (default 2) levels are expanded into subtree tasks, the
@@ -141,15 +168,6 @@ val check :
     then restores the canonical sequential accounting ("each task may
     count whatever its predecessors left over"), so the reported counts
     are independent of [jobs] and of lease scheduling.
-
-    [lean] (default true) steps the machine in {!Sim.lean_mode}: per-step
-    history records and the replayable trace are not accumulated, which
-    removes the dominant per-step allocations.  Call records and all
-    counters are kept, so any property within the soundness contract
-    above — a function of recorded calls and their interval order — is
-    unaffected; see docs/MODEL.md, "Exploration fast path".  Pass
-    [~lean:false] when the property (or post-mortem use of the returned
-    [violation] machine) needs {!Sim.steps} or {!Sim.replay}.
 
     [commute] (default {!Op.commute}) is the independence relation the
     sleep-set POR consults for advance/advance pairs.  A replacement must
@@ -219,9 +237,10 @@ val count :
 
 (** Internal canonicalization machinery under stable builders, so the test
     suite can state the canonicalization laws — idempotence, invariance
-    under waiter relabelings, pinned slots never moved — directly against
-    the production comparator and permutation application.  Not for
-    production use. *)
+    under waiter relabelings, pinned slots never moved, hash and equality
+    computed through the permutation agreeing with the materialized
+    array — directly against the production comparator, sort and
+    permutation code.  Not for production use. *)
 module Testing : sig
   type slot
   (** One process's control point as the fingerprint sees it. *)
@@ -242,11 +261,29 @@ module Testing : sig
       and every running slot's snapshot re-indexed alike. *)
 
   val canonicalize : symmetry:Sim.Pid_set.t -> slot array -> slot array * bool
-  (** The canonical orbit representative of the array's dedup key, and
-      whether a non-identity relabeling produced it. *)
+  (** The canonical orbit representative of the array's dedup key,
+      materialized, and whether a non-identity relabeling produced it. *)
+
+  val hash : slot array -> int
+  (** The slot-hash sum the dedup key of this exact array hashes with. *)
+
+  val canonical_hash : symmetry:Sim.Pid_set.t -> slot array -> int
+  (** [hash (fst (canonicalize ~symmetry a))], computed as the search does:
+      through the permutation, without building the canonical array. *)
+
+  val canonical_equal : symmetry:Sim.Pid_set.t -> slot array -> slot array -> bool
+  (** [canonical_equal ~symmetry a key] is [equal (fst (canonicalize
+      ~symmetry a)) key], decided as the search decides it against a
+      stored key: through the permutation, without building the canonical
+      array. *)
 
   val equal : slot array -> slot array -> bool
   (** The fingerprint's exact metadata equality. *)
 
   val slot_equal : slot -> slot -> bool
+
+  val heap_sort : (int -> int -> int) -> int array -> unit
+  (** The canonicalizer's in-place sort: [Array.sort]'s algorithm,
+      specialized to int arrays, so it returns what [Array.sort] returns
+      under the same comparator, ties included. *)
 end

@@ -68,15 +68,19 @@ let grow_slots t =
   t.mask <- mask;
   t.resizes <- t.resizes + 1
 
-let intern t ~hash key =
+(* The one probe loop behind both entry points: [equal stored probe]
+   confirms a hash match, and [make probe] builds the key to store only
+   when the probe is new. *)
+let intern_with t ~hash ~equal ~make probe =
   let mask = t.mask in
   let hashes = t.hashes and ids = t.ids in
   (* [saw_hash]: a slot with this full hash but a different key exists —
      a genuine collision, counted once per newly interned key. *)
-  let rec probe i saw_hash =
+  let rec go i saw_hash =
     let id = ids.(i) in
     if id < 0 then begin
       if saw_hash then t.collisions <- t.collisions + 1;
+      let key = make probe in
       let id = t.next in
       t.next <- id + 1;
       if id = 0 then t.keys <- Array.make 16 key
@@ -93,11 +97,12 @@ let intern t ~hash key =
       id
     end
     else if hashes.(i) = hash then
-      if t.equal t.keys.(id) key then id
-      else probe ((i + 1) land mask) true
-    else probe ((i + 1) land mask) saw_hash
+      if equal t.keys.(id) probe then id else go ((i + 1) land mask) true
+    else go ((i + 1) land mask) saw_hash
   in
-  probe (hash land mask) false
+  go (hash land mask) false
+
+let intern t ~hash key = intern_with t ~hash ~equal:t.equal ~make:Fun.id key
 
 let distinct t = t.next
 

@@ -20,6 +20,16 @@ val intern : 'a t -> hash:int -> 'a -> int
     dense, starting at 0, in first-seen order).  Two keys receive the same
     id iff they have the same [hash] {e and} are [equal]. *)
 
+val intern_with :
+  'a t -> hash:int -> equal:('a -> 'p -> bool) -> make:('p -> 'a) -> 'p -> int
+(** Probe-then-materialize interning: the id of the key that [probe]
+    stands for, where [equal key probe] decides whether a stored key with
+    the same [hash] is that key, and [make probe] builds it — called only
+    when no stored key matches, i.e. when a new id is assigned.  The
+    explorer probes with a state and a permutation and materializes the
+    relabeled key only on a miss.  [intern t ~hash key] is
+    [intern_with t ~hash ~equal:(the table's equal) ~make:Fun.id key]. *)
+
 val distinct : 'a t -> int
 (** Number of distinct keys interned so far (= the next id). *)
 

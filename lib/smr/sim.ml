@@ -55,7 +55,6 @@ type t = {
       (* result of the latest completed-or-crashed call per process:
          [Some v] completed with [v], [None] crashed.  Mirrors the newest
          calls_rev record of the process, but is O(log n) to read. *)
-  last_resp : Op.value option; (* response of the most recent step *)
   total_rmrs_c : int; (* running totals, so accounting views are O(1) *)
   total_messages_c : int;
   ends_rev : (Op.pid * int * bool) list; (* terminations/crashes: pid, tick, crashed *)
@@ -82,7 +81,6 @@ let create ~model ~layout ~n =
     seq_by_pid = Pid_map.empty;
     done_by_pid = Pid_map.empty;
     last_by_pid = Pid_map.empty;
-    last_resp = None;
     total_rmrs_c = 0;
     total_messages_c = 0;
     ends_rev = [];
@@ -96,11 +94,9 @@ let with_tracer t tracer = { t with tracer }
    accumulating the per-step history ([steps] will be empty) and the
    replayable trace ([replay]/[erase] become unavailable), while every
    counter — clock, per-process and total RMR/step/call tallies, last
-   results, call records, ends — is maintained exactly as in full mode.
-   This is the explorer's mode: its dedup/POR machinery and the property
-   contract consume only counters and call records, and skipping the two
-   per-step accumulators removes the dominant allocation on the search hot
-   path.  See docs/MODEL.md, "Exploration fast path". *)
+   results, call records, ends — is maintained exactly as in full mode,
+   for callers that read only counters and call records (the fuzz
+   lattice's lean-vs-full oracle checks that promise). *)
 let lean_mode t =
   if t.steps_rev <> [] || t.trace_rev <> [] then
     invalid_arg "Sim.lean_mode: machine already has recorded history"
@@ -109,9 +105,10 @@ let lean_mode t =
 let is_lean t = t.lean
 
 (* Observation events are purely additive: on [None] nothing is allocated
-   or computed, which is the zero-cost-when-disabled contract. *)
-let emit_ev t ev =
-  match t.tracer with None -> () | Some tr -> Obs.Trace.emit tr ev
+   or computed, which is the zero-cost-when-disabled contract.  Every site
+   therefore builds its event under [Some tr] only — an event passed as an
+   argument would be built (its variable name rendered, its record
+   allocated) before a tracerless machine dropped it. *)
 
 let n t = t.n
 let layout t = t.layout
@@ -154,29 +151,6 @@ let calls t =
   in
   List.rev_append t.calls_rev pending
 
-(* Fold over the same calls [calls] returns, in unspecified order, without
-   materializing the list.  Properties evaluated at every search node
-   (e.g. Specification 4.1) quantify over call intervals by their
-   timestamps, not by list position, so they can skip the O(completed
-   calls) copy [calls] performs per evaluation. *)
-let fold_calls f acc t =
-  let acc = List.fold_left f acc t.calls_rev in
-  Pid_map.fold
-    (fun p st acc ->
-      match st with
-      | Running r ->
-        f acc
-          { History.c_pid = p;
-            c_label = r.label;
-            c_seq = r.seq;
-            c_started = r.started;
-            c_finished = None;
-            c_result = None;
-            c_rmrs = r.run_rmrs;
-            c_steps = r.run_steps }
-      | Idle | Terminated -> acc)
-    t.procs acc
-
 let participants t = t.participated
 
 let peek t p =
@@ -208,10 +182,13 @@ let complete_call t p (r : run) result =
       c_rmrs = r.run_rmrs;
       c_steps = r.run_steps }
   in
-  emit_ev t
-    (Obs.Event.Call_end
-       { t = finished; pid = p; label = r.label; seq = r.seq;
-         result; rmrs = r.run_rmrs; steps = r.run_steps });
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+    Obs.Trace.emit tr
+      (Obs.Event.Call_end
+         { t = finished; pid = p; label = r.label; seq = r.seq;
+           result; rmrs = r.run_rmrs; steps = r.run_steps }));
   (* One record copy for the whole completion; the call's step/RMR tallies
      are folded into the per-process totals here, not on every step. *)
   { t with
@@ -242,7 +219,10 @@ let begin_call_gen ~record t p ~label program =
   let started = t.clock in
   let seq = find_count t.seq_by_pid p in
   let r = { program; label; seq; started; run_rmrs = 0; run_steps = 0 } in
-  emit_ev t (Obs.Event.Call_begin { t = started; pid = p; label; seq });
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+    Obs.Trace.emit tr (Obs.Event.Call_begin { t = started; pid = p; label; seq }));
   (* One record copy per branch (a zero-step program completes on the spot,
      so that branch pays [complete_call]'s copy instead of a [procs] one). *)
   match program with
@@ -317,23 +297,26 @@ let advance_gen ~record ?(check : Op.value option) t p =
             messages;
             call_seq = r.seq }
         in
-        emit_ev t
-          (Obs.Event.Op_step
-             { t = time;
-               pid = p;
-               kind = Op.kind_name (Op.kind inv);
-               addr = Op.addr_of inv;
-               var = Var.layout_name t.layout (Op.addr_of inv);
-               home =
-                 (match step.History.home with
-                 | Var.Module i -> Obs.Event.Module i
-                 | Var.Shared -> Obs.Event.Shared);
-               response;
-               wrote;
-               rmr;
-               messages;
-               model = Cost_model.name model;
-               call_seq = r.seq });
+        (match t.tracer with
+        | None -> ()
+        | Some tr ->
+          Obs.Trace.emit tr
+            (Obs.Event.Op_step
+               { t = time;
+                 pid = p;
+                 kind = Op.kind_name (Op.kind inv);
+                 addr = Op.addr_of inv;
+                 var = Var.layout_name t.layout (Op.addr_of inv);
+                 home =
+                   (match step.History.home with
+                   | Var.Module i -> Obs.Event.Module i
+                   | Var.Shared -> Obs.Event.Shared);
+                 response;
+                 wrote;
+                 rmr;
+                 messages;
+                 model = Cost_model.name model;
+                 call_seq = r.seq }));
         step :: t.steps_rev
       end
     in
@@ -353,7 +336,6 @@ let advance_gen ~record ?(check : Op.value option) t p =
           clock = time + 1;
           trace_rev;
           steps_rev;
-          last_resp = Some response;
           total_rmrs_c;
           total_messages_c }
         p
@@ -366,7 +348,6 @@ let advance_gen ~record ?(check : Op.value option) t p =
         clock = time + 1;
         trace_rev;
         steps_rev;
-        last_resp = Some response;
         total_rmrs_c;
         total_messages_c;
         procs = Pid_map.add p (Running { r with program; run_rmrs; run_steps }) t.procs })
@@ -384,7 +365,11 @@ let terminate t p =
     if t.lean then t else { t with trace_rev = E_terminate p :: t.trace_rev }
   in
   let t = tick t in
-  emit_ev t (Obs.Event.Proc_exit { t = t.clock - 1; pid = p; crashed = false });
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+    Obs.Trace.emit tr
+      (Obs.Event.Proc_exit { t = t.clock - 1; pid = p; crashed = false }));
   { t with
     procs = Pid_map.add p Terminated t.procs;
     ends_rev = (p, t.clock - 1, false) :: t.ends_rev }
@@ -414,10 +399,13 @@ let crash_gen ~record t p =
           c_rmrs = r.run_rmrs;
           c_steps = r.run_steps }
       in
-      emit_ev t
-        (Obs.Event.Call_crash
-           { t = t.clock - 1; pid = p; label = r.label; seq = r.seq;
-             rmrs = r.run_rmrs; steps = r.run_steps });
+      (match t.tracer with
+      | None -> ()
+      | Some tr ->
+        Obs.Trace.emit tr
+          (Obs.Event.Call_crash
+             { t = t.clock - 1; pid = p; label = r.label; seq = r.seq;
+               rmrs = r.run_rmrs; steps = r.run_steps }));
       { t with
         calls_rev = call :: t.calls_rev;
         last_by_pid = Pid_map.add p None t.last_by_pid;
@@ -434,7 +422,11 @@ let crash_gen ~record t p =
                (find_count t.steps_by_pid p + r.run_steps)
                t.steps_by_pid) }
   in
-  emit_ev t (Obs.Event.Proc_exit { t = t.clock - 1; pid = p; crashed = true });
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+    Obs.Trace.emit tr
+      (Obs.Event.Proc_exit { t = t.clock - 1; pid = p; crashed = true }));
   { t with
     procs = Pid_map.add p Terminated t.procs;
     ends_rev = (p, t.clock - 1, true) :: t.ends_rev }
@@ -476,8 +468,6 @@ let call_count t p = find_count t.seq_by_pid p
 let completed_count t p = find_count t.done_by_pid p
 
 let last_step t = match t.steps_rev with [] -> None | s :: _ -> Some s
-
-let last_response t = t.last_resp
 
 let ends t = List.rev t.ends_rev
 

@@ -38,12 +38,10 @@ val lean_mode : t -> t
     ({!replay} and {!erase} raise [Invalid_argument]) are kept.  Every
     counter — clock, per-process and total RMR/message/step tallies, call
     ordinals, completed counts, {!last_result}, completed-call records,
-    [ends] — is maintained exactly as in full mode.  This is {!Explore}'s
-    stepping mode: the checker's dedup/POR machinery and its property
-    contract consume only counters and call records, and the two per-step
-    accumulators dominate allocation on the search hot path.  Must be
-    applied to a machine with no recorded history (raises otherwise).
-    See docs/MODEL.md, "Exploration fast path". *)
+    [ends] — is maintained exactly as in full mode, so callers that read
+    only counters and call records skip the two per-step accumulators.
+    Must be applied to a machine with no recorded history (raises
+    otherwise). *)
 
 val is_lean : t -> bool
 
@@ -110,13 +108,6 @@ val calls : t -> History.call list
     still in flight (begun, unfinished).  Pending calls matter to
     Specification 4.1, which quantifies over calls that have {e begun}. *)
 
-val fold_calls : ('a -> History.call -> 'a) -> 'a -> t -> 'a
-(** Fold over exactly the calls [calls] returns, in unspecified order,
-    without materializing the list.  Meant for properties evaluated at
-    every search node: interval-order checks depend on call timestamps,
-    never on list position, so they need not pay the per-evaluation copy
-    [calls] performs. *)
-
 val calls_of : t -> Op.pid -> History.call list
 
 val participants : t -> Pid_set.t
@@ -141,12 +132,7 @@ val completed_count : t -> Op.pid -> int
 
 val last_step : t -> History.step option
 (** The most recently executed step, if any.  O(1).  Always [None] in lean
-    mode, which keeps no step records — use {!last_response} for the datum
-    the explorer needs. *)
-
-val last_response : t -> Op.value option
-(** Response of the most recently executed step, if any — available in
-    both full and lean mode, O(1). *)
+    mode, which keeps no step records. *)
 
 val ends : t -> (Op.pid * int * bool) list
 (** Terminations and crashes in chronological order: process, the tick at

@@ -1,5 +1,5 @@
-(* Regenerates the golden JSON fixtures pinned by test_experiments.ml and
-   test_lint.ml.
+(* Regenerates the golden JSON fixtures pinned by test_experiments.ml,
+   test_lint.ml, test_trace.ml and test_explore.ml.
 
    Run from the repository root after an intentional change to the JSON
    format or to the experiment numbers:
@@ -8,8 +8,30 @@
 
    then review the diff before committing. *)
 
+(* Byte-identical to `separation explore -a ALGO -n N -k K --polls P
+   --split-depth 0 --json`: the search counters of a monolithic search,
+   pinned so a change to the explorer that moves any of them shows. *)
+let explore ~algorithm ~n ~waiters ~polls () =
+  let setup =
+    { (Core.Exhaustive.setup
+         (Option.get (Core.Experiment.find_algorithm algorithm)))
+      with
+      n;
+      waiters;
+      polls;
+      split_depth = 0 }
+  in
+  let prepared = Core.Exhaustive.prepare setup in
+  Core.Results.to_json
+    (Core.Exhaustive.table setup prepared
+       (Core.Exhaustive.search setup prepared))
+
 let fixtures =
-  [ ( "test/golden/e1_small.json",
+  [ ( "test/golden/explore_cc_flag.json",
+      explore ~algorithm:"cc-flag" ~n:5 ~waiters:4 ~polls:2 );
+    ( "test/golden/explore_dsm_broadcast.json",
+      explore ~algorithm:"dsm-broadcast" ~n:4 ~waiters:3 ~polls:3 );
+    ( "test/golden/e1_small.json",
       fun () ->
         Core.Results.to_json (Core.E1_cc_flag.table ~ns:[ 2; 4 ] ()) ^ "\n" );
     ( "test/golden/e4_small.json",

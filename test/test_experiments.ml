@@ -106,12 +106,6 @@ let test_e2_golden_numbers () =
 
 (* --- registry, runner, and golden JSON --- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let test_registry () =
   let ids = Experiment_registry.ids () in
   check_int "15 experiments registered" 15 (List.length ids);

@@ -7,7 +7,7 @@ open Test_util
 open Core
 
 (* The spec as an exploration property. *)
-let spec_ok sim = Signaling.check_polling (Sim.calls sim) = []
+let spec_ok calls = Signaling.check_polling calls = []
 
 (* Build scripts for an algorithm instance: each waiter performs up to
    [polls] Poll() calls, stopping early once one returns true (the
@@ -313,39 +313,6 @@ let test_mutation_caught () =
   check_true "jobs=4 reports the same violating history"
     (violating_calls 4 = c1)
 
-(* --- lean vs. full stepping --- *)
-
-let test_lean_matches_full () =
-  (* The explorer steps a lean machine by default; exploring with full
-     history must change nothing observable: same verdict, same violating
-     history (if any), and every jobs-invariant counter identical — the
-     property-preservation argument of docs/MODEL.md, "Exploration fast
-     path", checked differentially on reference configurations and on a
-     mutant that violates the specification. *)
-  let run_pair (module A : Signaling.POLLING) ~n ~waiters ~polls =
-    let layout, scripts = scripts_for (module A) ~n ~waiters ~polls in
-    let run lean =
-      Explore.check ~lean ~layout ~model:(Cost_model.dsm layout) ~n ~scripts
-        ~property:spec_ok ()
-    in
-    (run true, run false)
-  in
-  let check_pair name (lean, full) =
-    check_true (name ^ ": every field but wall time agrees")
-      (comparable lean = comparable full)
-  in
-  check_pair "cc-flag" (run_pair (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2);
-  check_pair "dsm-single"
-    (run_pair (module Dsm_single_waiter) ~n:2 ~waiters:[ 1 ] ~polls:3);
-  let lean, full = run_pair (module Broken_cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
-  check_pair "broken-cc-flag" (lean, full);
-  match (lean.Explore.violation, full.Explore.violation) with
-  | Some ls, Some fs ->
-    check_true "lean violation machine keeps no step records"
-      (Sim.steps ls = []);
-    check_true "full violation machine keeps them" (Sim.steps fs <> [])
-  | _ -> Alcotest.fail "mutation not caught on both sides"
-
 let test_fast_property_agrees () =
   (* [Signaling.polling_ok] (the allocation-free form the CLI feeds the
      explorer) must be verdict-equivalent to the violation-listing checker
@@ -452,6 +419,44 @@ let test_detect_symmetry () =
   in
   check_int "Ll declines detection" 0 (Sim.Pid_set.cardinal lsym)
 
+let test_detect_symmetry_stuck_leaves () =
+  (* dsm-queue's Poll() decodes a queue index from a fetch-and-increment
+     response; over the lint's value domain (which includes the NIL code
+     -1) the continuation raises.  Detection must treat that as a stuck
+     leaf and carry on — here declining, since each waiter reads its own
+     registration flag — instead of raising. *)
+  let _, _, qsym = scripts_sym (module Dsm_queue) ~n:4 ~waiters:[ 1; 2 ] ~polls:2 in
+  check_int "dsm-queue declines without raising" 0 (Sim.Pid_set.cardinal qsym);
+  (* Two programs that get stuck on the same responses are bisimilar; one
+     that gets stuck where the other goes on is not. *)
+  let strict () =
+    Program.Step
+      (Op.Read 0, fun v -> if v < 0 then invalid_arg "negative" else Program.Return v)
+  in
+  let lenient = Program.Step (Op.Read 0, fun v -> Program.Return v) in
+  let values = [ -1; 0; 1 ] in
+  check_int "stuck against stuck matches" 2
+    (Sim.Pid_set.cardinal
+       (Explore.detect_symmetry ~values [ (1, ("p", strict ())); (2, ("p", strict ())) ]));
+  check_int "stuck against live declines" 0
+    (Sim.Pid_set.cardinal
+       (Explore.detect_symmetry ~values [ (1, ("p", strict ())); (2, ("p", lenient)) ]))
+
+(* The search never builds a canonical key just to probe with it: the
+   state hash and the comparison against stored keys run through the
+   permutation.  Both must agree with the materialized canonical array. *)
+let check_through_perm what ~symmetry meta =
+  let open Explore.Testing in
+  let canon = fst (canonicalize ~symmetry meta) in
+  check_int (what ^ ": hash through the permutation") (hash canon)
+    (canonical_hash ~symmetry meta);
+  check_true (what ^ ": equal to its canonical array through the permutation")
+    (canonical_equal ~symmetry meta canon);
+  let other = Array.copy canon in
+  other.(0) <- idle ~begun:99 ~last:None;
+  check_false (what ^ ": unequal to a different array")
+    (canonical_equal ~symmetry meta other)
+
 let test_canonicalization_laws () =
   let open Explore.Testing in
   let symmetry =
@@ -469,8 +474,9 @@ let test_canonicalization_laws () =
        idle ~begun:0 ~last:None |]
   in
   let canon = fst (canonicalize ~symmetry sample) in
+  check_through_perm "sample" ~symmetry sample;
   (* Idempotence: the canonical form is its own representative, found by
-     the allocation-free already-sorted fast path. *)
+     the already-sorted fast path. *)
   let canon2, moved2 = canonicalize ~symmetry canon in
   check_true "canonicalize is idempotent" (equal canon canon2);
   check_false "second pass reports no relabeling" moved2;
@@ -485,10 +491,29 @@ let test_canonicalization_laws () =
   in
   List.iteri
     (fun i perm ->
-      let c = fst (canonicalize ~symmetry (relabel ~perm sample)) in
+      let twin = relabel ~perm sample in
+      let c = fst (canonicalize ~symmetry twin) in
       check_true
         (Printf.sprintf "relabeling %d canonicalizes identically" i)
-        (equal canon c))
+        (equal canon c);
+      check_through_perm (Printf.sprintf "relabeling %d" i) ~symmetry twin;
+      check_true
+        (Printf.sprintf "relabeling %d matches the stored canonical key" i)
+        (canonical_equal ~symmetry twin canon))
+    perms;
+  (* Tied sort keys: waiters 1 and 2 run the same call, and each saw
+     itself and waiter 3 complete a call but not the other — the same
+     permutation-invariant view, different snapshots. *)
+  let tied =
+    [| running ~label:"Signal" ~seq:0 ~resps_rev:[] ~snap:[| 0; 1; 1; 1 |];
+       running ~label:"Poll" ~seq:1 ~resps_rev:[] ~snap:[| 0; 1; 0; 1 |];
+       running ~label:"Poll" ~seq:1 ~resps_rev:[] ~snap:[| 0; 0; 1; 1 |];
+       running ~label:"Poll" ~seq:0 ~resps_rev:[ 0 ] ~snap:[| 0; 1; 1; 0 |] |]
+  in
+  List.iteri
+    (fun i perm ->
+      check_through_perm (Printf.sprintf "tied, relabeling %d" i) ~symmetry
+        (relabel ~perm tied))
     perms;
   (* Empty symmetry: canonicalization is the identity. *)
   let id, moved = canonicalize ~symmetry:Sim.Pid_set.empty sample in
@@ -508,6 +533,7 @@ let test_canonicalization_pins_asymmetric_slots () =
   let sample = [| s0; w_hi; w_lo; s3 |] in
   let canon, moved = canonicalize ~symmetry sample in
   check_true "a relabeling was applied" moved;
+  check_through_perm "pinned" ~symmetry sample;
   check_true "signaler slot never moves" (slot_equal canon.(0) s0);
   check_true "non-symmetric waiter slot never moves" (slot_equal canon.(3) s3);
   check_true "symmetric slots were reordered"
@@ -578,6 +604,141 @@ let test_symmetry_jobs_deterministic () =
   check_true "4-waiter scope enumerates exhaustively" r1.Explore.complete;
   check_true "jobs=2 identical" (comparable r2 = comparable r1);
   check_true "jobs=4 identical" (comparable r4 = comparable r1)
+
+(* --- the violation machine --- *)
+
+let test_violation_full_history () =
+  (* The search steps no machine; a violation comes back as its move path
+     replayed on a fresh full-history [Sim] — steps recorded, the timeline
+     renderable — and the search is deterministic, so the replayed machine
+     is the same at every parallelism level, with and without symmetry. *)
+  let layout, scripts, symmetry =
+    scripts_sym (module Broken_cc_flag) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:2
+  in
+  let violation ~symmetry jobs =
+    match
+      (Explore.check ~jobs ~symmetry ~layout ~model:(Cost_model.dsm layout)
+         ~n:4 ~scripts ~property:spec_ok ())
+        .Explore.violation
+    with
+    | Some sim -> sim
+    | None -> Alcotest.failf "jobs=%d: mutation not caught" jobs
+  in
+  List.iter
+    (fun symmetry ->
+      let v1 = violation ~symmetry 1 in
+      check_true "the violation machine keeps its steps" (Sim.steps v1 <> []);
+      check_true "and fails the property" (not (spec_ok (Sim.calls v1)));
+      check_true "its timeline renders" (Timeline.render v1 <> "");
+      List.iter
+        (fun jobs ->
+          let v = violation ~symmetry jobs in
+          check_true
+            (Printf.sprintf "jobs=%d: same steps" jobs)
+            (Sim.steps v = Sim.steps v1);
+          check_true
+            (Printf.sprintf "jobs=%d: same calls" jobs)
+            (Sim.calls v = Sim.calls v1))
+        [ 2; 4 ])
+    [ symmetry; Sim.Pid_set.empty ]
+
+(* [Array.sort]'s algorithm, copied for the canonicalizer: same result
+   under comparators that tie, where the order among tied elements is
+   the algorithm's own. *)
+let prop_heap_sort_is_array_sort =
+  let comparators =
+    [| (fun (a : int) b -> compare a b);
+       (fun a b -> compare (a / 3) (b / 3));
+       (fun a b -> compare (b mod 3) (a mod 3));
+       (fun _ _ -> 0) |]
+  in
+  qcheck ~count:500 "heap sort returns what Array.sort returns"
+    QCheck.(
+      pair (int_bound (Array.length comparators - 1))
+        (array_of_size Gen.(int_bound 8) (int_bound 9)))
+    (fun (c, a) ->
+      let cmp = comparators.(c) in
+      let expected = Array.copy a and got = Array.copy a in
+      Array.sort cmp expected;
+      Explore.Testing.heap_sort cmp got;
+      expected = got)
+
+(* --- the property contract --- *)
+
+let sorted_calls calls = List.sort compare calls
+
+let test_property_sees_sim_calls () =
+  (* A property that fails at the k-th completion: the calls it was handed
+     at that moment — completed and in flight, start times, RMR and step
+     tallies — must be exactly the calls of the replayed violation
+     machine, as a multiset.  Cache-coherent models bill differently from
+     DSM, so [c_rmrs] is checked against a second accounting too. *)
+  let cases =
+    (* llsc-register's spins reach a 4th completion only ~7M states in *)
+    [ ("cc-flag", (module Cc_flag : Signaling.POLLING), [ 1; 2; 4 ]);
+      ("dsm-broadcast", (module Dsm_broadcast), [ 1; 2; 4 ]);
+      ("llsc-register", (module Llsc_register), [ 1; 2; 3 ]) ]
+  in
+  let models =
+    [ ("dsm", fun layout -> Cost_model.dsm layout);
+      ("cc-wb", fun _ -> Cc.model ~protocol:Cc.Write_back ~n:3 ()) ]
+  in
+  List.iter
+    (fun (name, m, ks) ->
+      let layout, scripts = scripts_for m ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
+      List.iter
+        (fun (model_name, model) ->
+          List.iter
+            (fun k ->
+              let handed = ref [] in
+              let property calls =
+                let completed =
+                  List.length
+                    (List.filter (fun c -> c.History.c_finished <> None) calls)
+                in
+                completed < k
+                ||
+                (handed := calls;
+                 false)
+              in
+              (* One task, so the first failing evaluation is the one the
+                 search stops at and reports. *)
+              let r =
+                Explore.check ~split_depth:0 ~layout ~model:(model layout) ~n:3
+                  ~scripts ~property ()
+              in
+              let what = Printf.sprintf "%s/%s, k=%d" name model_name k in
+              match r.Explore.violation with
+              | None -> Alcotest.failf "%s: no violation" what
+              | Some sim ->
+                check_true (what ^ ": the property's calls are Sim.calls")
+                  (sorted_calls !handed = sorted_calls (Sim.calls sim));
+                check_true (what ^ ": some call was in flight or billed")
+                  (List.exists
+                     (fun c -> c.History.c_finished = None || c.History.c_rmrs > 0)
+                     !handed))
+            ks)
+        models)
+    cases
+
+let test_cc_flag_golden () =
+  (* Every search counter of the 4-waiter monolithic cc-flag search, pinned
+     byte for byte to `separation explore -a cc-flag -n 5 -k 4 --polls 2
+     --split-depth 0 --json`; regenerate with `dune exec
+     test/golden/gen.exe` only when a counter is meant to move. *)
+  let setup =
+    { (Exhaustive.setup (module Cc_flag)) with
+      n = 5;
+      waiters = 4;
+      polls = 2;
+      split_depth = 0 }
+  in
+  Alcotest.(check string)
+    "golden explore JSON"
+    (read_file "golden/explore_cc_flag.json")
+    (let prepared = Exhaustive.prepare setup in
+     Results.to_json
+       (Exhaustive.table setup prepared (Exhaustive.search setup prepared)))
 
 (* --- spill-to-disk dedup storage --- *)
 
@@ -712,11 +873,14 @@ let suite =
       test_previously_infeasible_scope;
     case "verdict identical across jobs" test_jobs_deterministic;
     case "mutation caught identically at every jobs" test_mutation_caught;
-    case "lean stepping changes nothing observable" test_lean_matches_full;
+    case "violation machine: full history, same at every jobs"
+      test_violation_full_history;
     case "fast spec property agrees with the checker" test_fast_property_agrees;
     case "capped search identical at every jobs" test_capped_jobs_deterministic;
     case "fingerprint interning: dense stable ids" test_fp_intern_ids;
     case "symmetry detection: sound accept and decline" test_detect_symmetry;
+    case "symmetry detection: raising continuations are stuck leaves"
+      test_detect_symmetry_stuck_leaves;
     case "canonicalization: idempotent, orbit-invariant"
       test_canonicalization_laws;
     case "canonicalization: pinned slots never move"
@@ -731,4 +895,8 @@ let suite =
     case "spill store: ids and payloads survive paging" test_spill_store_basics;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
     case "state hash: no full-hash collisions" test_state_hash_collision_free;
-    case "wall-clock metric has a single source" test_wall_metric_single_source ]
+    case "wall-clock metric has a single source" test_wall_metric_single_source;
+    prop_heap_sort_is_array_sort;
+    case "property is handed the violation machine's calls"
+      test_property_sees_sim_calls;
+    case "cc-flag 4-waiter counters match the golden" test_cc_flag_golden ]

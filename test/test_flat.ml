@@ -208,7 +208,7 @@ let check_agreement ~ctx_name eng =
      property downstream consumers actually read. *)
   Alcotest.(check bool)
     (ctx_name ^ ": spec 4.1 verdict")
-    (Signaling.polling_ok sim)
+    (Signaling.polling_ok sim_calls)
     (Signaling.check_polling flat_calls = [])
 
 let run_one (module A : Signaling.POLLING) mp ~n ~seed ~crashes =

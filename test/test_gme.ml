@@ -170,7 +170,7 @@ let test_lightswitch_exhaustive_small () =
     Explore.check ~max_histories:300_000 ~layout
       ~model:(Cost_model.dsm layout) ~n:2
       ~scripts:[ (0, script 0); (1, script 1) ]
-      ~property:(fun sim -> Sync.Gme_intf.is_safe (Sim.calls sim))
+      ~property:Sync.Gme_intf.is_safe
       ()
   in
   check_true "no cross-session overlap in any interleaving"
@@ -225,7 +225,7 @@ let test_gme_exhaustive_small () =
     Explore.check ~max_histories:2_000 ~layout
       ~model:(Cost_model.dsm layout) ~n:2
       ~scripts:[ (0, script 0); (1, script 1) ]
-      ~property:(fun sim -> Sync.Gme_intf.is_safe (Sim.calls sim))
+      ~property:Sync.Gme_intf.is_safe
       ()
   in
   check_true "explored" (r.Explore.histories > 100);

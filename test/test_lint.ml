@@ -460,13 +460,6 @@ let test_commute_exhaustive_and_sound () =
 
 (* --- golden JSON --- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let test_lint_golden_json () =
   (* Byte-for-byte pin of `separation lint --json`; regenerate with
      `dune exec test/golden/gen.exe`. *)

@@ -29,4 +29,5 @@ let () =
       ("timeline", Test_timeline.suite);
       ("trace", Test_trace.suite);
       ("profile", Test_profile.suite);
-      ("fuzz", Test_fuzz.suite) ]
+      ("fuzz", Test_fuzz.suite);
+      ("cli", Test_cli.suite) ]

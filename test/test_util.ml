@@ -46,3 +46,10 @@ let default_cfg ~n =
   Core.Signaling.config ~n
     ~waiters:(List.init (n - 1) (fun i -> i + 1))
     ~signalers:[ 0 ]
+
+(* A golden fixture's bytes (tests run from the test directory). *)
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
