@@ -101,6 +101,14 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a signaling algorithm and report RMR accounting.")
     Term.(const run $ algo $ model $ n_arg $ waiters $ seed $ trace $ json)
 
+(* Exit 2 with subcommand [cmd]'s name and the reason when a check
+   refused its input. *)
+let accept ~cmd = function
+  | Ok () -> ()
+  | Error msg ->
+    Fmt.epr "separation: %s: %s@." cmd msg;
+    exit 2
+
 let explore_cmd =
   let waiters =
     Arg.(
@@ -208,11 +216,7 @@ let explore_cmd =
         dedup = not no_dedup; por = not no_por; symmetry = not no_symmetry;
         mem_budget_mib = mem_budget }
     in
-    (match Core.Exhaustive.validate setup with
-    | Ok () -> ()
-    | Error msg ->
-      Fmt.epr "separation: explore: %s@." msg;
-      exit 2);
+    accept ~cmd:"explore" (Core.Exhaustive.validate setup);
     let prepared = Core.Exhaustive.prepare setup in
     (match prepared.Core.Exhaustive.facts with
     | None -> ()
@@ -282,6 +286,22 @@ let explore_cmd =
       $ cap $ jobs $ split_depth $ json $ no_dedup $ no_por $ no_symmetry
       $ mem_budget)
 
+(* Play the Section 6 construction for subcommand [cmd]: what it cannot
+   play exits 2, a phase that runs out of fuel exits 1, each with a
+   message on stderr. *)
+let section6 ~cmd (module A : Core.Signaling.POLLING) ~n ?tracer ?max_rounds
+    ?stability_polls () =
+  accept ~cmd
+    (Core.Adversary.validate (module A) ~n ?max_rounds ?stability_polls ());
+  match
+    Core.Adversary.run (module A) ~n ?tracer ?max_rounds ?stability_polls ()
+  with
+  | r -> r
+  | exception Core.Adversary.Out_of_fuel { phase; pid } ->
+    Fmt.epr "separation: %s: %s: the %s phase ran out of fuel driving p%d@."
+      cmd A.name phase pid;
+    exit 1
+
 let adversary_cmd =
   let rounds =
     Arg.(
@@ -330,7 +350,7 @@ let adversary_cmd =
     match strategy with
     | `Section6 ->
       let r =
-        Core.Adversary.run (module A) ~n ~max_rounds:rounds
+        section6 ~cmd:"adversary" (module A) ~n ~max_rounds:rounds
           ~stability_polls:polls ()
       in
       Fmt.pr "%a" Core.Adversary.pp_result r;
@@ -338,16 +358,13 @@ let adversary_cmd =
         Fmt.pr "@.Surviving history:@.";
         Smr.Timeline.print r.Core.Adversary.final_sim
       end
-    | `Pct ->
-      let r = Core.Adversary.run_pct (module A) ~n ~seed ?depth ~model () in
-      Fmt.pr "%a" Core.Adversary.pp_random_outcome r;
-      if trace then begin
-        Fmt.pr "@.History:@.";
-        Smr.Timeline.print r.Core.Adversary.ro_outcome.Core.Scenario.sim
-      end;
-      if r.Core.Adversary.ro_outcome.Core.Scenario.violations <> [] then exit 1
-    | `Walk ->
-      let r = Core.Adversary.run_walk (module A) ~n ~seed ~model () in
+    | (`Pct | `Walk) as strategy ->
+      accept ~cmd:"adversary" (Core.Signaling.at_least 1 "-n" n);
+      let r =
+        match strategy with
+        | `Pct -> Core.Adversary.run_pct (module A) ~n ~seed ?depth ~model ()
+        | `Walk -> Core.Adversary.run_walk (module A) ~n ~seed ~model ()
+      in
       Fmt.pr "%a" Core.Adversary.pp_random_outcome r;
       if trace then begin
         Fmt.pr "@.History:@.";
@@ -413,8 +430,9 @@ let trace_cmd =
       jobs =
     let tr = Obs.Trace.create () in
     if adversary then
-      ignore (Core.Adversary.run (module A) ~n ~tracer:tr ())
+      ignore (section6 ~cmd:"trace" (module A) ~n ~tracer:tr ())
     else begin
+      accept ~cmd:"trace" (Core.Signaling.at_least 1 "-n" n);
       let cfg = Core.Experiment.config_for (module A) ~n in
       ignore (Core.Scenario.run_phased (module A) ~model ~cfg ~tracer:tr ())
     end;

@@ -18,7 +18,12 @@
      algorithms like [Dsm_queue] it fails, because every registrant is
      visible through the counter, and the failed erasures are reported —
      the mechanized witness of why the theorem's hypotheses exclude
-     fetch-and-phi primitives.
+     fetch-and-phi primitives.  An erasure's cost depends on its victim: a
+     process that never took a step (every waiter dsm-broadcast's chase
+     erases was declared stable before it began a call) costs O(log n),
+     since there is nothing to replay; any other victim costs a replay of
+     the whole trace, so a chase that erases such victims is quadratic in
+     n.
 
    - Stability (Def. 6.8) is checked on an O(1) snapshot by running the
      process solo through [stability_polls] full Poll() calls and watching
@@ -83,6 +88,8 @@ type result = {
   final_sim : Sim.t; (* the surviving history's machine, for inspection *)
 }
 
+exception Out_of_fuel of { phase : string; pid : Op.pid }
+
 type state = {
   sim : Sim.t;
   active : Pid_set.t;
@@ -116,7 +123,7 @@ let begin_poll st p =
    within the check's horizon. *)
 let advance_to_rmr ~fuel st p =
   let rec go st fuel =
-    if fuel = 0 then failwith "Adversary.advance_to_rmr: out of fuel"
+    if fuel = 0 then raise (Out_of_fuel { phase = "advance to RMR"; pid = p })
     else
       match Sim.proc_state st.sim p with
       | Sim.Terminated -> st
@@ -284,7 +291,7 @@ let resolve_write_conflicts ?resolution st poised =
 let roll_forward ~fuel st r =
   decide st ~decision:"roll-forward" ~pid:r ~detail:"";
   let rec go st fuel failures =
-    if fuel = 0 then failwith "Adversary.roll_forward: out of fuel"
+    if fuel = 0 then raise (Out_of_fuel { phase = "roll forward"; pid = r })
     else
       match Sim.proc_state st.sim r with
       | Sim.Idle | Sim.Terminated -> (st, failures)
@@ -451,7 +458,7 @@ let goose_chase ~fuel st s =
           (st.inst.Signaling.i_signal s) }
   in
   let rec go st fuel erased failures unerasable =
-    if fuel = 0 then failwith "Adversary.goose_chase: out of fuel"
+    if fuel = 0 then raise (Out_of_fuel { phase = "goose chase"; pid = s })
     else
       match Sim.proc_state st.sim s with
       | Sim.Idle | Sim.Terminated -> (st, erased, failures)
@@ -498,15 +505,37 @@ let validate_survivors ~fuel st =
 
 (* --- the full construction --- *)
 
+(* Every pid is a potential waiter and a potential signaler. *)
+let all_pids_config n =
+  let pids = List.init n Fun.id in
+  Signaling.config ~n ~waiters:pids ~signalers:pids
+
+let validate (module A : Signaling.POLLING) ~n ?stability_polls ?max_rounds () =
+  let nonneg name =
+    Option.fold ~none:(Ok ()) ~some:(Signaling.at_least 0 name)
+  in
+  let ( let* ) = Result.bind in
+  let* () = Signaling.at_least 1 "-n" n in
+  let* () = nonneg "--rounds" max_rounds in
+  let* () = nonneg "--stability-polls" stability_polls in
+  let* () =
+    if A.flexibility.Signaling.signaler_fixed then
+      Error
+        (Printf.sprintf
+           "%s fixes its signaler in advance; the lower bound concerns \
+            algorithms whose signaler is not fixed"
+           A.name)
+    else Ok ()
+  in
+  Signaling.validate_config A.flexibility (all_pids_config n)
+
 let run (module A : Signaling.POLLING) ~n ?tracer ?(stability_polls = 3)
     ?(max_rounds = 24) ?(fuel = 2_000_000) ?resolution () =
-  if A.flexibility.Signaling.signaler_fixed then
-    invalid_arg
-      "Adversary.run: the lower bound concerns algorithms whose signaler is \
-       not fixed in advance";
+  (match validate (module A) ~n ~stability_polls ~max_rounds () with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Adversary.run: " ^ msg));
   let ctx = Var.Ctx.create () in
-  let pids = List.init n Fun.id in
-  let cfg = Signaling.config ~n ~waiters:pids ~signalers:pids in
+  let cfg = all_pids_config n in
   let inst = Signaling.instantiate (module A) ctx cfg in
   let layout = Var.Ctx.freeze ctx in
   let sim =
@@ -514,7 +543,10 @@ let run (module A : Signaling.POLLING) ~n ?tracer ?(stability_polls = 3)
       tracer
   in
   let st =
-    { sim; active = Pid_set.of_list pids; fin = Pid_set.empty; inst;
+    { sim;
+      active = Pid_set.of_list cfg.Signaling.waiters;
+      fin = Pid_set.empty;
+      inst;
       spurious = false }
   in
   (* Part 1: rounds until every active waiter is stable. *)

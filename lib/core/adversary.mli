@@ -65,6 +65,27 @@ type result = {
       (** the machine holding the surviving (post-erasure) history *)
 }
 
+exception Out_of_fuel of { phase : string; pid : Op.pid }
+(** Raised by {!run} when one of its phases drives process [pid] for
+    [fuel] steps without reaching the point it waits for.  [phase] is
+    ["advance to RMR"], ["roll forward"] or ["goose chase"].  The chase
+    runs out against an algorithm whose Signal() awaits a waiter the
+    chase erased (dsm-fixed-term). *)
+
+val validate :
+  (module Signaling.POLLING) ->
+  n:int ->
+  ?stability_polls:int ->
+  ?max_rounds:int ->
+  unit ->
+  (unit, string) Stdlib.result
+(** Rejects, with a message, what {!run} cannot play: fewer than one
+    process, a negative round budget or stability horizon, an algorithm
+    whose signaler is fixed in advance (outside the theorem's scope), and
+    an algorithm whose {!Signaling.validate_config} refuses every pid as
+    both waiter and signaler (e.g. a single-waiter algorithm with
+    [n > 1]).  An omitted count is {!run}'s default, which is valid. *)
+
 val run :
   (module Signaling.POLLING) ->
   n:int ->
@@ -78,8 +99,8 @@ val run :
 (** Run the construction with all [n] processes as potential waiters in the
     DSM model.  [stability_polls] is the Def. 6.8 horizon: a process is
     declared stable after that many complete solo Poll() calls without an
-    RMR.  Raises [Invalid_argument] for algorithms whose signaler is fixed
-    in advance (outside the theorem's scope).
+    RMR.  Raises [Invalid_argument] on what {!validate} rejects, and
+    {!Out_of_fuel} when a phase exhausts [fuel].
 
     With [tracer], the machine emits its usual step/call events and the
     construction emits one {!Obs.Event.Adversary} decision event per

@@ -42,15 +42,9 @@ let config s =
 
 let validate s =
   let (module A : Signaling.POLLING) = s.algorithm in
-  let nonneg name v =
-    if v < 0 then Error (Printf.sprintf "%s must be >= 0, got %d" name v)
-    else Ok ()
-  in
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let* () =
-    if s.n < 1 then Error (Printf.sprintf "-n must be >= 1, got %d" s.n)
-    else Ok ()
-  in
+  let nonneg = Signaling.at_least 0 in
+  let ( let* ) = Result.bind in
+  let* () = Signaling.at_least 1 "-n" s.n in
   let* () = nonneg "--waiters" s.waiters in
   let* () = nonneg "--signalers" s.signalers in
   let* () = nonneg "--polls" s.polls in

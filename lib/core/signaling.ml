@@ -233,6 +233,10 @@ let check_blocking calls =
 
 (* --- configuration validation --- *)
 
+let at_least lo name v =
+  if v < lo then Error (Printf.sprintf "%s must be >= %d, got %d" name lo v)
+  else Ok ()
+
 let validate_config (flex : flexibility) (cfg : config) =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in

@@ -103,6 +103,12 @@ val validate_config : flexibility -> config -> (unit, string) result
     [0, n), duplicate entries within either role list, and role counts
     beyond the algorithm's [flexibility] bounds. *)
 
+val at_least : int -> string -> int -> (unit, string) result
+(** [at_least lo name v] is [Ok ()] when [v >= lo], else an error reading
+    ["<name> must be >= <lo>, got <v>"]: the count check shared by the
+    validators of the scenarios that instantiate an algorithm over a
+    command line's parameters ([name] is the flag, e.g. ["-n"]). *)
+
 (** An algorithm instance with its typed state closed over, exposing the
     untyped programs the simulator consumes (Poll's Boolean is 0/1). *)
 type instance = {

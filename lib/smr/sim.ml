@@ -6,7 +6,8 @@
 
    Every state-changing action is also appended to a replayable trace.  The
    trace is the history in the proof's sense: erasing a process (Lemma 6.7)
-   is implemented as replaying the trace without that process's events.  If
+   is implemented as replaying the trace without that process's events, and
+   erasing one that has no events returns the machine unchanged.  If
    the erased process was visible to a survivor — i.e. the history minus the
    process is not a legal history of the algorithm — replay detects the
    divergence and reports it instead of silently producing garbage. *)
@@ -531,9 +532,17 @@ let replay ?(check = true) ~keep t =
      continues from here is still the traced one. *)
   { sim with tracer = t.tracer }
 
+(* A victim with no recorded event (never began a call, never crashed or
+   terminated) is invisible to everyone, so the replay without it would
+   rebuild this very machine: drop it, and replay only for the rest.  A
+   lean machine still goes through [replay], which refuses it. *)
 let erase t pids =
-  let doomed = Pid_set.of_list pids in
-  replay ~check:true ~keep:(fun p -> not (Pid_set.mem p doomed)) t
+  let has_events p = Pid_set.mem p t.participated || not (is_idle t p) in
+  match List.filter has_events pids with
+  | [] when not t.lean -> t
+  | victims ->
+    let doomed = Pid_set.of_list victims in
+    replay ~check:true ~keep:(fun p -> not (Pid_set.mem p doomed)) t
 
 let can_erase t pids =
   match erase t pids with

@@ -4,10 +4,11 @@
     snapshots are O(1) — the stability check of Definition 6.8 and the
     adversary's trial erasures depend on this.  Every state change is also
     appended to a replayable trace; erasing a process from a history
-    (Lemma 6.7) is replaying the trace without that process's events, and
-    replay verifies that every surviving process receives exactly the
-    responses it received originally, raising {!Replay_divergence} otherwise
-    (i.e. when the erased process was in fact visible). *)
+    (Lemma 6.7) is replaying the trace without that process's events (or
+    nothing at all, for a process that has none), and replay verifies
+    that every surviving process receives exactly the responses it
+    received originally, raising {!Replay_divergence} otherwise (i.e.
+    when the erased process was in fact visible). *)
 
 module Pid_map : Map.S with type key = int
 module Pid_set : Set.S with type elt = int
@@ -155,7 +156,15 @@ val replay : ?check:bool -> keep:(Op.pid -> bool) -> t -> t
     Raises [Invalid_argument] on a lean machine, which keeps no trace. *)
 
 val erase : t -> Op.pid list -> t
-(** [replay] keeping everyone except the given processes. *)
+(** [replay] keeping everyone except the given processes.  A victim with
+    no recorded event — one that never began a call and was never crashed
+    or terminated — is invisible to everyone (the trivial case of
+    Lemma 6.7), so it is dropped without a replay: the survivors'
+    responses, memory, counters, call records and tracer are what the
+    replay would rebuild.  When no other victim remains, the machine
+    itself comes back, in O(k log n) for k victims; otherwise the whole
+    trace is replayed as by {!replay}.  Raises [Invalid_argument] on a
+    lean machine, whatever the victims. *)
 
 val can_erase : t -> Op.pid list -> bool
 (** Whether erasure succeeds without divergence. *)

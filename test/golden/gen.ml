@@ -34,6 +34,13 @@ let fixtures =
     ( "test/golden/e1_small.json",
       fun () ->
         Core.Results.to_json (Core.E1_cc_flag.table ~ns:[ 2; 4 ] ()) ^ "\n" );
+    ( "test/golden/e2_small.json",
+      (* The Section 6 adversary over both of its erasure paths: every
+         dsm-broadcast erasure succeeds, every dsm-queue chase erasure is
+         blocked by F&I visibility. *)
+      fun () ->
+        Core.Results.to_json (Core.E2_adversary.table ~ns:[ 8; 32 ] ()) ^ "\n"
+    );
     ( "test/golden/e4_small.json",
       fun () ->
         Core.Results.to_json (Core.E4_queue_k.table ~n:16 ~ks:[ 1; 2; 4 ] ())

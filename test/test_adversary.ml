@@ -89,6 +89,23 @@ let test_adversary_deterministic () =
     (r1.Adversary.total_rmrs = r2.Adversary.total_rmrs
     && r1.Adversary.participants = r2.Adversary.participants)
 
+let test_broadcast_chase_linear () =
+  (* Every waiter dsm-broadcast's chase erases was declared stable before
+     it began a call, so each erasure has nothing to replay: the run's
+     allocation per step of the final history stays flat in n (about 1.1k
+     words).  Replaying the trace on each erasure made it quadratic:
+     29.2k words per step at n = 256. *)
+  let n = 256 in
+  let w0 = Gc.minor_words () in
+  let r = Adversary.run (module Dsm_broadcast) ~n () in
+  let words = Gc.minor_words () -. w0 in
+  let steps = List.length (Smr.Sim.steps r.Adversary.final_sim) in
+  check_int "the signaler's steps survive" n steps;
+  check_true
+    (Printf.sprintf "%.1f minor words per final-history step <= 2000"
+       (words /. float_of_int steps))
+    (words /. float_of_int steps <= 2000.)
+
 let prop_adversary_never_breaks_spec =
   (* Whatever the adversary does, it must never manufacture a spec
      violation against a correct algorithm. *)
@@ -113,4 +130,5 @@ let suite =
     case "broadcast stabilizes in zero rounds" test_broadcast_stabilizes_immediately;
     case "transformed cas-register is chaseable" test_transformed_cas_register_chased;
     case "adversary is deterministic" test_adversary_deterministic;
+    case "broadcast: chase allocation linear in n" test_broadcast_chase_linear;
     prop_adversary_never_breaks_spec ]

@@ -1,19 +1,21 @@
 (* The command line on inputs it must refuse — or once died on: each case
-   runs `separation explore` and checks its exit code and the message on
-   stderr.  Invalid input exits 2 with a message naming the problem
-   (cmdliner's own parse errors exit 124); never an internal error. *)
+   runs one subcommand and checks its exit code and the message on the
+   stream the case names (stderr, except for the adversary's accepted
+   row, whose result is on stdout).  Invalid input exits 2 with a message
+   naming the problem (cmdliner's own parse errors exit 124); never an
+   internal error. *)
 
 open Test_util
 
 let exe = "../bin/separation.exe"
 
-(* Exit code, stdout and stderr of one run. *)
-let run args =
+(* Exit code, stdout and stderr of one run of subcommand [cmd]. *)
+let run cmd args =
   let out = Filename.temp_file "separation-cli" ".out" in
   let err = Filename.temp_file "separation-cli" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s explore %s > %s 2> %s" exe args (Filename.quote out)
+      (Printf.sprintf "%s %s %s > %s 2> %s" exe cmd args (Filename.quote out)
          (Filename.quote err))
   in
   let o = read_file out and e = read_file err in
@@ -25,6 +27,9 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   at 0
+
+(* The stream a case's message must appear on. *)
+type stream = Out | Err
 
 let cases =
   [ ("-a cc-flag -n 2 -k 3", 2,
@@ -48,16 +53,68 @@ let cases =
     ("-a dsm-queue --json", 0,
      "symmetry: declined (waiter programs not interchangeable)") ]
 
-let test_explore_inputs () =
+(* The Section 6 adversary, also behind `trace --adversary`.  Each of
+   these once died with an internal error (exit 125), ran to a fuel
+   failure, or printed a vacuous result and exited 0. *)
+let adversary_cases =
+  [ ("adversary", "-a dsm-registration", 2, Err,
+     "separation: adversary: dsm-registration fixes its signaler in advance");
+    ("adversary", "-a dsm-single -n 8", 2, Err,
+     "separation: adversary: algorithm supports at most 1 waiter(s), 8 \
+      configured");
+    ("adversary", "-a dsm-broadcast -n 8 --stability-polls=-1", 2, Err,
+     "separation: adversary: --stability-polls must be >= 0, got -1");
+    ("adversary", "-a cc-flag --strategy pct -n 0", 2, Err,
+     "separation: adversary: -n must be >= 1, got 0");
+    ("adversary", "-a cc-flag --strategy walk -n 0", 2, Err,
+     "separation: adversary: -n must be >= 1, got 0");
+    (* The signaler awaits the participation of waiters the chase erased. *)
+    ("adversary", "-a dsm-fixed-term", 1, Err,
+     "separation: adversary: dsm-fixed-term: the goose chase phase ran out of \
+      fuel driving p0");
+    ("adversary", "-a dsm-broadcast -n 0", 2, Err,
+     "separation: adversary: -n must be >= 1, got 0");
+    ("adversary", "-a dsm-broadcast -n 8 --rounds=-1", 2, Err,
+     "separation: adversary: --rounds must be >= 0, got -1");
+    ("trace", "--adversary -a dsm-registration", 2, Err,
+     "separation: trace: dsm-registration fixes its signaler in advance");
+    ("trace", "--adversary -a dsm-single -n 8", 2, Err,
+     "separation: trace: algorithm supports at most 1 waiter(s), 8 configured");
+    ("trace", "--adversary -a dsm-broadcast -n 0", 2, Err,
+     "separation: trace: -n must be >= 1, got 0");
+    ("trace", "-a cc-flag -n 0", 2, Err,
+     "separation: trace: -n must be >= 1, got 0");
+    ("adversary", "-a dsm-broadcast -n 8", 0, Out,
+     "part 2: signaler p0 incurred 7 RMRs (7 waiters erased, 0 erasures \
+      blocked)") ]
+
+(* A refused input names its problem on stderr and prints nothing on
+   stdout. *)
+let check_cases cases =
   List.iter
-    (fun (args, code, message) ->
-      let got, out, err = run args in
+    (fun (cmd, args, code, stream, message) ->
+      let got, out, err = run cmd args in
+      let args = cmd ^ " " ^ args in
       check_int (args ^ ": exit code") code got;
+      let name, shown =
+        match stream with Out -> ("stdout", out) | Err -> ("stderr", err)
+      in
       check_true
-        (Printf.sprintf "%s: stderr mentions %S (got %S)" args message err)
-        (contains err message);
+        (Printf.sprintf "%s: %s mentions %S (got %S)" args name message shown)
+        (contains shown message);
       check_false (args ^ ": no internal error") (contains err "internal error");
       if code <> 0 then check_true (args ^ ": nothing on stdout") (out = ""))
     cases
 
-let suite = [ case "explore: invalid inputs exit with a message" test_explore_inputs ]
+let test_explore_inputs () =
+  check_cases
+    (List.map
+       (fun (args, code, message) -> ("explore", args, code, Err, message))
+       cases)
+
+let test_adversary_inputs () = check_cases adversary_cases
+
+let suite =
+  [ case "explore: invalid inputs exit with a message" test_explore_inputs;
+    case "adversary and trace --adversary: invalid inputs exit with a message"
+      test_adversary_inputs ]

@@ -163,6 +163,14 @@ let test_e1_golden_json () =
     (read_file "golden/e1_small.json")
     (Results.to_json (E1_cc_flag.table ~ns:[ 2; 4 ] ()) ^ "\n")
 
+let test_e2_golden_json () =
+  (* Both erasure paths of the Section 6 adversary: dsm-broadcast's chase
+     erases every waiter, dsm-queue's is blocked by F&I visibility. *)
+  Alcotest.(check string)
+    "golden JSON e2"
+    (read_file "golden/e2_small.json")
+    (Results.to_json (E2_adversary.table ~ns:[ 8; 32 ] ()) ^ "\n")
+
 let test_e4_golden_json () =
   Alcotest.(check string)
     "golden JSON e4"
@@ -205,6 +213,7 @@ let suite =
     case "runner shape verdicts" test_runner_shapes;
     case "runner jobs determinism" test_jobs_deterministic;
     case "E1 golden JSON" test_e1_golden_json;
+    case "E2 golden JSON" test_e2_golden_json;
     case "E4 golden JSON" test_e4_golden_json;
     case "E1 golden output" test_e1_golden;
     case "E2 golden numbers" test_e2_golden_numbers;

@@ -100,12 +100,12 @@ let test_run_to_idle_fuel () =
 
 let test_erase_invisible () =
   (* p1 writes its own variable; p0 reads an unrelated one.  Erasing p1
-     leaves p0's history intact. *)
+     leaves p0's history intact.  p2 never takes a step. *)
   let ctx = Var.Ctx.create () in
   let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
   let w = Var.Ctx.int ctx ~name:"w" ~home:(Var.Module 1) 0 in
   let layout = Var.Ctx.freeze ctx in
-  let sim = Sim.create ~model:(Cost_model.dsm layout) ~layout ~n:2 in
+  let sim = Sim.create ~model:(Cost_model.dsm layout) ~layout ~n:3 in
   let sim, _ = Sim.run_call sim 0 ~label:"r" (Program.step (Op.Read (Var.addr x))) in
   let sim, _ = Sim.run_call sim 1 ~label:"w" (Program.step (Op.Write (Var.addr w, 5))) in
   check_true "both participate"
@@ -114,23 +114,51 @@ let test_erase_invisible () =
   check_true "only p0 remains"
     (Sim.Pid_set.elements (Sim.participants erased) = [ 0 ]);
   check_int "p0's steps survive" 1 (List.length (Sim.steps erased));
-  check_int "p1's write is gone" 0 (Memory.get (Sim.memory erased) (Var.addr w))
+  check_int "p1's write is gone" 0 (Memory.get (Sim.memory erased) (Var.addr w));
+  (* A stepless victim beside a stepped one changes nothing. *)
+  let mixed = Sim.erase sim [ 2; 1 ] in
+  check_true "mixed: same steps" (Sim.steps mixed = Sim.steps erased);
+  check_true "mixed: same calls" (Sim.calls mixed = Sim.calls erased);
+  check_true "mixed: same memory"
+    (Memory.dump (Sim.memory mixed) = Memory.dump (Sim.memory erased)
+    && Memory.same_fingerprint (Sim.memory mixed) (Sim.memory erased));
+  check_int "mixed: same clock" (Sim.clock erased) (Sim.clock mixed)
+
+let test_erase_stepless_is_identity () =
+  (* A process that never began a call, crashed or terminated has no event
+     to remove: erasing it returns the machine itself, with no replay. *)
+  let ctx = Var.Ctx.create () in
+  let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
+  let layout = Var.Ctx.freeze ctx in
+  let sim = Sim.create ~model:(Cost_model.dsm layout) ~layout ~n:4 in
+  let sim, _ = Sim.run_call sim 0 ~label:"w" (Program.step (Op.Write (Var.addr x, 5))) in
+  let sim = Sim.begin_call sim 1 ~label:"r" (Program.step (Op.Read (Var.addr x))) in
+  let sim = Sim.terminate sim 2 in
+  check_true "stepless victims: the machine itself" (Sim.erase sim [ 3 ] == sim);
+  check_true "no victims: the machine itself" (Sim.erase sim [] == sim);
+  check_true "a terminated process is replayed out"
+    (Sim.erase sim [ 2; 3 ] != sim && Sim.is_idle (Sim.erase sim [ 2 ]) 2);
+  check_true "a process mid-call is replayed out"
+    (Sim.is_idle (Sim.erase sim [ 3; 1 ]) 1)
 
 let test_erase_visible_diverges () =
   (* p0 reads a value p1 wrote; erasing p1 changes p0's response. *)
   let ctx = Var.Ctx.create () in
   let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
   let layout = Var.Ctx.freeze ctx in
-  let sim = Sim.create ~model:(Cost_model.dsm layout) ~layout ~n:2 in
+  let sim = Sim.create ~model:(Cost_model.dsm layout) ~layout ~n:3 in
   let sim, _ = Sim.run_call sim 1 ~label:"w" (Program.step (Op.Write (Var.addr x, 5))) in
   let sim, v = Sim.run_call sim 0 ~label:"r" (Program.step (Op.Read (Var.addr x))) in
   check_int "p0 saw the write" 5 v;
   check_false "p1 is not erasable" (Sim.can_erase sim [ 1 ]);
-  check_true "erase raises"
-    (match Sim.erase sim [ 1 ] with
-    | (_ : Sim.t) -> false
-    | exception Sim.Replay_divergence { pid = 0; _ } -> true
-    | exception Sim.Replay_divergence _ -> false)
+  List.iter
+    (fun victims ->
+      check_true "erase raises"
+        (match Sim.erase sim victims with
+        | (_ : Sim.t) -> false
+        | exception Sim.Replay_divergence { pid = 0; _ } -> true
+        | exception Sim.Replay_divergence _ -> false))
+    [ [ 1 ]; [ 2; 1 ]; [ 1; 2 ] ]
 
 let test_erase_fai_chain_diverges () =
   (* Two FAIs: the second's response depends on the first — the mechanism
@@ -250,13 +278,16 @@ let test_lean_replay_rejected () =
   let ctx = Var.Ctx.create () in
   let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
   let layout = Var.Ctx.freeze ctx in
-  let sim = Sim.lean_mode (Sim.create ~model:(Cost_model.dsm layout) ~layout ~n:1) in
+  let sim = Sim.lean_mode (Sim.create ~model:(Cost_model.dsm layout) ~layout ~n:2) in
   let sim, _ =
     Sim.run_call sim 0 ~label:"a" (Program.step (Op.Read (Var.addr x)))
   in
   Alcotest.check_raises "replay needs a trace"
     (Invalid_argument "Sim.replay: a lean machine keeps no replayable trace")
-    (fun () -> ignore (Sim.replay ~keep:(fun _ -> true) sim))
+    (fun () -> ignore (Sim.replay ~keep:(fun _ -> true) sim));
+  Alcotest.check_raises "so does erasing a stepless process"
+    (Invalid_argument "Sim.replay: a lean machine keeps no replayable trace")
+    (fun () -> ignore (Sim.erase sim [ 1 ]))
 
 let test_lean_mode_rejects_history () =
   let ctx = Var.Ctx.create () in
@@ -308,6 +339,8 @@ let suite =
     case "next_is_rmr prediction" test_next_is_rmr;
     case "run_to_idle fuel" test_run_to_idle_fuel;
     case "erase invisible process" test_erase_invisible;
+    case "erasing a stepless process returns the machine"
+      test_erase_stepless_is_identity;
     case "erase visible process diverges" test_erase_visible_diverges;
     case "FAI chains defeat erasure" test_erase_fai_chain_diverges;
     case "blind write chains allow erasure" test_erase_blind_write_chain_ok;

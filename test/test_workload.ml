@@ -48,6 +48,22 @@ let test_stats_welford () =
   check_int "empty count" 0 empty.Stats.count;
   check_true (empty.Stats.mean = 0.0 && empty.Stats.stddev = 0.0)
 
+let test_stats_add_int_no_alloc () =
+  (* The driver makes two observations per completed call.  With the
+     moments boxed beside the count, each one allocated 6 minor words. *)
+  let s = Stats.create () in
+  Stats.add_int s 1;
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    Stats.add_int s (i land 255)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d add_int calls" words calls)
+    true (words < 16.);
+  check_int "every observation counted" (calls + 1) (Stats.summary s).Stats.count
+
 (* --- arrivals --- *)
 
 let test_arrivals_gaps () =
@@ -224,6 +240,7 @@ let suite =
   [ case "rng: seeded and deterministic" test_rng_deterministic;
     case "rng: ranges" test_rng_ranges;
     case "stats: welford moments" test_stats_welford;
+    case "stats: add_int allocates nothing" test_stats_add_int_no_alloc;
     case "arrivals: gap laws" test_arrivals_gaps;
     case "driver: same seed, same bytes" test_driver_deterministic;
     case "driver: different seed, different run" test_driver_seed_sensitivity;
