@@ -295,16 +295,13 @@ let explore_json_table () =
           measure "states_per_sec"; measure "histories"; measure "complete" ]
     [ row 1; row 2 ]
 
-(* Symmetry reduction and spill-to-disk at the 4-waiter reference
-   configuration (cc-flag, N=5, four waiters, two polls, monolithic
-   search).  The search stays monolithic ([split_depth:0]) so one shared
-   dedup table sees every state: under the frontier split each task holds
-   a private table and permuted twin subtrees land in different tasks,
-   which understates the orbit reduction.  [symmetry_factor] is the
-   measured states ratio against the no-symmetry row — CI gates it at
-   >= 10x — and the spill row re-runs the reduced search under a resident
-   budget small enough to force real paging, whose verdict and search
-   counters must match the in-memory row exactly. *)
+(* Symmetry reduction at the 4-waiter reference configuration (cc-flag,
+   N=5, four waiters, two polls, monolithic search).  The search stays
+   monolithic ([split_depth:0]) so one shared dedup table sees every
+   state: under the frontier split each task holds a private table and
+   permuted twin subtrees land in different tasks, which understates the
+   orbit reduction.  [symmetry_factor] is the measured states ratio
+   against the no-symmetry row — CI gates it at >= 10x. *)
 let explore_scale_json_table () =
   let open Smr in
   let m = Option.get (Core.Experiment.find_algorithm "cc-flag") in
@@ -336,23 +333,13 @@ let explore_scale_json_table () =
          waiter_pids)
   in
   assert (Sim.Pid_set.cardinal symmetry = List.length waiter_pids);
-  let run ~symmetry ?mem_budget ?spill_seg_keys () =
-    Explore.check ~split_depth:0 ~symmetry ?mem_budget ?spill_seg_keys
-      ~spill_dir:
-        (Filename.concat (Filename.get_temp_dir_name ())
-           "separation-bench-spill")
-      ~layout ~model:(Cost_model.dsm layout) ~n ~scripts
+  let run ~symmetry =
+    Explore.check ~split_depth:0 ~symmetry ~layout
+      ~model:(Cost_model.dsm layout) ~n ~scripts
       ~property:Core.Signaling.polling_ok ()
   in
-  let plain = run ~symmetry:Sim.Pid_set.empty () in
-  let reduced = run ~symmetry () in
-  let spilled = run ~symmetry ~mem_budget:(256 * 1024) ~spill_seg_keys:512 () in
-  assert (spilled.Explore.stats.Explore.spill_segments > 0);
-  assert (
-    (reduced.Explore.histories, reduced.Explore.complete,
-     reduced.Explore.stats.Explore.states)
-    = (spilled.Explore.histories, spilled.Explore.complete,
-       spilled.Explore.stats.Explore.states));
+  let plain = run ~symmetry:Sim.Pid_set.empty in
+  let reduced = run ~symmetry in
   let row mode (r : Explore.result) =
     let s = r.Explore.stats in
     let wall = s.Explore.wall_s in
@@ -360,7 +347,7 @@ let explore_scale_json_table () =
       [ text mode; int s.Explore.states; float ~digits:4 wall;
         float ~digits:0 (float_of_int s.Explore.states /. Float.max wall 1e-9);
         int s.Explore.fp_distinct; int s.Explore.orbit_hits;
-        int s.Explore.spill_segments; bool r.Explore.complete;
+        bool r.Explore.complete;
         float ~digits:2
           (float_of_int plain.Explore.stats.Explore.states
           /. float_of_int (max 1 s.Explore.states)) ]
@@ -368,13 +355,11 @@ let explore_scale_json_table () =
   Core.Results.make ~experiment:"bench" ~part:"explore-scale"
     ~title:
       (Printf.sprintf
-         "Symmetry reduction and spill, %s N=%d %d waiters %d polls \
-          (monolithic)"
+         "Symmetry reduction, %s N=%d %d waiters %d polls (monolithic)"
          A.name n (List.length waiter_pids) polls)
     ~claim:
       "orbit-canonical symmetry reduction shrinks the exhaustive search >= \
-       10x at the 4-waiter reference configuration; a spilled run matches \
-       it exactly"
+       10x at the 4-waiter reference configuration"
     ~params:
       Core.Results.
         [ ("algorithm", text A.name); ("n", int n);
@@ -384,10 +369,8 @@ let explore_scale_json_table () =
       Core.Results.
         [ param "mode"; measure "states"; measure "wall_s";
           measure "states_per_sec"; measure "fp_distinct";
-          measure "orbit_hits"; measure "spill_segments"; measure "complete";
-          measure "symmetry_factor" ]
-    [ row "no-symmetry" plain; row "symmetry" reduced;
-      row "symmetry-spill" spilled ]
+          measure "orbit_hits"; measure "complete"; measure "symmetry_factor" ]
+    [ row "no-symmetry" plain; row "symmetry" reduced ]
 
 (* Flat-engine throughput under the open-system workload driver — the
    figures the struct-of-arrays refactor is judged by: states/second,

@@ -195,26 +195,13 @@ let explore_cmd =
              unchanged, states visited shrink by up to the factorial of \
              the waiter count.")
   in
-  let mem_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "mem-budget" ] ~docv:"MIB"
-          ~doc:
-            "Cap the resident dedup tables at $(docv) MiB per subtree \
-             task; segments beyond the window spill to binary files under \
-             the system temp dir and are read back on probe misses.  \
-             Verdicts and all counts except the spill counters are \
-             byte-identical to an unbudgeted run.")
-  in
   let run algorithm n waiters polls signalers static_indep cap jobs split_depth
-      json no_dedup no_por no_symmetry mem_budget =
+      json no_dedup no_por no_symmetry =
     let open Smr in
     let setup =
       { (Core.Exhaustive.setup algorithm) with
         n; waiters; polls; signalers; static_indep; cap; jobs; split_depth;
-        dedup = not no_dedup; por = not no_por; symmetry = not no_symmetry;
-        mem_budget_mib = mem_budget }
+        dedup = not no_dedup; por = not no_por; symmetry = not no_symmetry }
     in
     accept ~cmd:"explore" (Core.Exhaustive.validate setup);
     let prepared = Core.Exhaustive.prepare setup in
@@ -254,16 +241,10 @@ let explore_cmd =
         r.Explore.stats.Explore.states r.Explore.stats.Explore.dedup_hits
         r.Explore.stats.Explore.orbit_hits r.Explore.stats.Explore.por_prunes
         r.Explore.stats.Explore.tasks r.Explore.stats.Explore.max_depth;
-      Fmt.pr "intern: %d distinct keys, %d collisions, %d resizes, %d \
-              slots%s@."
+      Fmt.pr "intern: %d distinct keys, %d collisions, %d resizes, %d slots@."
         r.Explore.stats.Explore.fp_distinct
         r.Explore.stats.Explore.fp_collisions
-        r.Explore.stats.Explore.fp_resizes r.Explore.stats.Explore.fp_slots
-        (if r.Explore.stats.Explore.spill_segments > 0 then
-           Printf.sprintf "; spilled %d segment(s), reloaded %d"
-             r.Explore.stats.Explore.spill_segments
-             r.Explore.stats.Explore.spill_reloads
-         else "");
+        r.Explore.stats.Explore.fp_resizes r.Explore.stats.Explore.fp_slots;
       match r.Explore.violation with
       | None -> Fmt.pr "Specification 4.1 holds on every explored history.@."
       | Some sim ->
@@ -283,8 +264,7 @@ let explore_cmd =
           configuration and check Specification 4.1.")
     Term.(
       const run $ algo $ n_arg $ waiters $ polls $ signalers $ static_indep
-      $ cap $ jobs $ split_depth $ json $ no_dedup $ no_por $ no_symmetry
-      $ mem_budget)
+      $ cap $ jobs $ split_depth $ json $ no_dedup $ no_por $ no_symmetry)
 
 (* Play the Section 6 construction for subcommand [cmd]: what it cannot
    play exits 2, a phase that runs out of fuel exits 1, each with a
@@ -362,7 +342,12 @@ let adversary_cmd =
       accept ~cmd:"adversary" (Core.Signaling.at_least 1 "-n" n);
       let r =
         match strategy with
-        | `Pct -> Core.Adversary.run_pct (module A) ~n ~seed ?depth ~model ()
+        | `Pct ->
+          Option.iter
+            (fun d ->
+              accept ~cmd:"adversary" (Core.Signaling.at_least 1 "--depth" d))
+            depth;
+          Core.Adversary.run_pct (module A) ~n ~seed ?depth ~model ()
         | `Walk -> Core.Adversary.run_walk (module A) ~n ~seed ~model ()
       in
       Fmt.pr "%a" Core.Adversary.pp_random_outcome r;
@@ -1135,6 +1120,10 @@ let fuzz_cmd =
              count toward coverage but cost no oracle work.")
   in
   let run seed cases budget oracle_names mutants only json coverage_new_only =
+    let nonneg name v = accept ~cmd:"fuzz" (Core.Signaling.at_least 0 name v) in
+    nonneg "--cases" cases;
+    Option.iter (nonneg "--budget") budget;
+    Option.iter (nonneg "--only") only;
     let oracles =
       match oracle_names with
       | [] -> Fuzz.Oracles.all

@@ -16,7 +16,6 @@ type setup = {
   dedup : bool;
   por : bool;
   symmetry : bool;
-  mem_budget_mib : int option;
 }
 
 let setup algorithm =
@@ -31,8 +30,7 @@ let setup algorithm =
     split_depth = 2;
     dedup = true;
     por = true;
-    symmetry = true;
-    mem_budget_mib = None }
+    symmetry = true }
 
 let signaler_pids s = List.init s.signalers Fun.id
 let waiter_pids s = List.init s.waiters (fun i -> i + s.signalers)
@@ -49,11 +47,7 @@ let validate s =
   let* () = nonneg "--signalers" s.signalers in
   let* () = nonneg "--polls" s.polls in
   let* () = nonneg "--cap" s.cap in
-  let* () =
-    match s.mem_budget_mib with
-    | Some b -> nonneg "--mem-budget" b
-    | None -> Ok ()
-  in
+  let* () = nonneg "--split-depth" s.split_depth in
   Signaling.validate_config A.flexibility (config s)
 
 type prepared = {
@@ -128,10 +122,8 @@ let prepare s =
 let search s p =
   Explore.check ~max_histories:s.cap ~dedup:s.dedup ~por:s.por
     ~commute:p.commute ~jobs:s.jobs ~split_depth:s.split_depth
-    ~symmetry:p.symmetry
-    ?mem_budget:(Option.map (fun mib -> mib * 1024 * 1024) s.mem_budget_mib)
-    ~layout:p.layout ~model:(Cost_model.dsm p.layout) ~n:s.n ~scripts:p.scripts
-    ~property:Signaling.polling_ok ()
+    ~symmetry:p.symmetry ~layout:p.layout ~model:(Cost_model.dsm p.layout)
+    ~n:s.n ~scripts:p.scripts ~property:Signaling.polling_ok ()
 
 let table s p (res : Explore.result) =
   let (module A : Signaling.POLLING) = s.algorithm in
@@ -148,16 +140,14 @@ let table s p (res : Explore.result) =
           ("cap", int s.cap); ("dedup", bool s.dedup); ("por", bool s.por);
           ("static_indep", bool s.static_indep);
           ("symmetry", int (Sim.Pid_set.cardinal p.symmetry));
-          ("split_depth", int s.split_depth);
-          ("mem_budget_mib", int (Option.value s.mem_budget_mib ~default:0)) ]
+          ("split_depth", int s.split_depth) ]
     ~columns:
       Results.
         [ measure "histories"; measure "truncated"; measure "complete";
           measure "violation"; measure "states"; measure "dedup_hits";
           measure "por_prunes"; measure "tasks"; measure "max_depth";
           measure "orbit_hits"; measure "fp_distinct"; measure "fp_collisions";
-          measure "fp_resizes"; measure "fp_slots"; measure "spill_segments";
-          measure "spill_reloads" ]
+          measure "fp_resizes"; measure "fp_slots" ]
     Results.
       [ [ int res.Explore.histories; int res.Explore.truncated;
           bool res.Explore.complete; bool (res.Explore.violation <> None);
@@ -165,5 +155,4 @@ let table s p (res : Explore.result) =
           int st.Explore.por_prunes; int st.Explore.tasks;
           int st.Explore.max_depth; int st.Explore.orbit_hits;
           int st.Explore.fp_distinct; int st.Explore.fp_collisions;
-          int st.Explore.fp_resizes; int st.Explore.fp_slots;
-          int st.Explore.spill_segments; int st.Explore.spill_reloads ] ]
+          int st.Explore.fp_resizes; int st.Explore.fp_slots ] ]

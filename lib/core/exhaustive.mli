@@ -20,18 +20,17 @@ type setup = {
   dedup : bool;
   por : bool;
   symmetry : bool;  (** detect interchangeable waiters and reduce by them *)
-  mem_budget_mib : int option;
 }
 
 val setup : (module Signaling.POLLING) -> setup
 (** The CLI's defaults: N = 16, 2 waiters, 2 polls, 1 signaler, a cap of
-    10^6 histories, 1 job, split depth 2, every reduction on, no budget. *)
+    10^6 histories, 1 job, split depth 2, every reduction on. *)
 
 val validate : setup -> (unit, string) result
 (** Rejects, with a message, what the search cannot run: fewer than one
-    process, negative counts, and role configurations the algorithm's
-    {!Signaling.validate_config} refuses (pids out of range, too many
-    waiters or signalers). *)
+    process, negative counts or split depth, and role configurations the
+    algorithm's {!Signaling.validate_config} refuses (pids out of range,
+    too many waiters or signalers). *)
 
 type prepared = {
   layout : Smr.Var.layout;

@@ -76,7 +76,7 @@
    and the GME occupancy predicate — and that scripts consult only the
    script-visible state (own call count and last result).  Both
    reductions can be switched off, which restores the seed checker's
-   exact leaf-per-interleaving semantics ([count] does exactly that). *)
+   exact leaf-per-interleaving semantics. *)
 
 module Pid_set = Sim.Pid_set
 
@@ -91,8 +91,6 @@ type stats = {
   fp_collisions : int; (* full-hash collisions among distinct keys *)
   fp_resizes : int; (* intern-table slot doublings, summed over tasks *)
   fp_slots : int; (* intern-table slot capacity, summed over tasks *)
-  spill_segments : int; (* segment files written under --mem-budget *)
-  spill_reloads : int; (* segments read back on a probe miss *)
   wall_s : float; (* wall-clock seconds (the only jobs-dependent field) *)
 }
 
@@ -714,53 +712,6 @@ let detect_symmetry ?(fuel = 4096) ~values candidates =
       if same = [] then Pid_set.empty
       else Pid_set.of_list (p0 :: List.map fst same)
 
-(* --- byte-encoded dedup keys (the spill-to-disk mode) --- *)
-
-(* Canonical byte serialization of a dedup key, faithful to [fp_equal]:
-   equal bytes iff equal fingerprints.  The metadata section comes first —
-   every variable-length field is length-prefixed, so it is uniquely
-   parseable and the memory section that follows cannot alias into it.
-   Only [fp_equal]'s fields are encoded (no [program], no derived
-   hashes). *)
-let add_i64 buf (v : int) = Buffer.add_int64_le buf (Int64.of_int v)
-
-let encode_key buf (meta : pmeta array) mem =
-  Buffer.clear buf;
-  Array.iter
-    (fun pm ->
-      match pm with
-      | P_idle (c, r) -> (
-        Buffer.add_char buf '\000';
-        add_i64 buf c;
-        match r with
-        | None -> Buffer.add_char buf '\000'
-        | Some v ->
-          Buffer.add_char buf '\001';
-          add_i64 buf v)
-      | P_running m ->
-        Buffer.add_char buf '\002';
-        add_i64 buf (String.length m.label);
-        Buffer.add_string buf m.label;
-        add_i64 buf m.seq;
-        add_i64 buf m.resps_len;
-        List.iter (add_i64 buf) m.resps_rev;
-        Array.iter (add_i64 buf) m.snap)
-    meta;
-  Memory.blit_fingerprint mem buf;
-  Buffer.contents buf
-
-let hash_bytes (s : string) =
-  let h = ref 0x2545F491 in
-  for i = 0 to String.length s - 1 do
-    h := mix !h (Char.code (String.unsafe_get s i))
-  done;
-  !h
-
-(* Resident-footprint estimate of one antichain, for the spill store's
-   budget accounting (words, boxing and spine overheads approximated). *)
-let antichain_bytes (l : Pid_set.t list) =
-  List.fold_left (fun acc s -> acc + 48 + (24 * Pid_set.cardinal s)) 16 l
-
 (* --- search nodes and stepping --- *)
 
 (* A search node: everything a move reads or a dedup key retains.  All of
@@ -1044,8 +995,6 @@ type sub = {
   s_fp_collisions : int;
   s_fp_resizes : int;
   s_fp_slots : int;
-  s_spill_segments : int; (* segment files written *)
-  s_spill_reloads : int; (* segments read back on a probe miss *)
 }
 
 (* How a subtree task may count leaves.
@@ -1081,25 +1030,12 @@ let take_lease pool =
    leaf — which is what lets [check] reconcile shared-lease runs against
    the fixed-budget semantics without re-exploring completed tasks. *)
 let explore_subtree ~dedup ~por ~commute ~property ~scripts
-    ~max_steps_per_history ~budget ~symmetry ~disk task =
+    ~max_steps_per_history ~budget ~symmetry task =
   (* State identity: (incremental hash, exact key) pairs interned to dense
      ints; the visited table and its sleep-set antichains then key on
      ints.  Both tables and the canonicalization scratch are task-private,
-     so no synchronization.  With [disk = Some (dir, budget_bytes,
-     seg_keys)] the keys are byte-encoded instead and both tables live in
-     a {!Spill} store whose segments page out to [dir] under the byte
-     budget; the dedup decisions are identical (the encoding is faithful
-     to [fp_equal]), only the counters gain spill telemetry. *)
+     so no synchronization. *)
   let intern : fp Fp_intern.t = Fp_intern.create ~equal:fp_equal () in
-  let store =
-    match disk with
-    | None -> None
-    | Some (dir, budget_bytes, seg_keys) ->
-      Some
-        (Spill.create ~dir ~seg_keys ~budget_bytes ~chain_zero:[]
-           ~chain_bytes:antichain_bytes ())
-  in
-  let buf = Buffer.create 256 in
   let sc =
     scratch ~n:(Array.length task.t_node.meta) ~mem:task.t_node.mem symmetry
   in
@@ -1206,21 +1142,13 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
     let csleep =
       if sc.relabeled then Pid_set.map (fun q -> sc.perm.(q)) sleep else sleep
     in
-    let hit =
-      match store with
-      | None ->
-        let cmh = if sc.relabeled then mh_relabeled sc else node.mh in
-        let id =
-          Fp_intern.intern_with intern
-            ~hash:(mix (Memory.fp_hash node.mem) cmh)
-            ~equal:probe_equal ~make:probe_key sc
-        in
-        seen (antichain id) csleep (fun l -> !visited.(id) <- l)
-      | Some st ->
-        let bytes = encode_key buf (canonical_meta sc) node.mem in
-        let id = Spill.intern st ~hash:(hash_bytes bytes) bytes in
-        seen (Spill.chain st id) csleep (Spill.set_chain st id)
+    let cmh = if sc.relabeled then mh_relabeled sc else node.mh in
+    let id =
+      Fp_intern.intern_with intern
+        ~hash:(mix (Memory.fp_hash node.mem) cmh)
+        ~equal:probe_equal ~make:probe_key sc
     in
+    let hit = seen (antichain id) csleep (fun l -> !visited.(id) <- l) in
     if hit then begin
       incr dedup_hits;
       if sc.relabeled then incr orbit_hits
@@ -1252,27 +1180,6 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
       outcome
     end
   in
-  let fp_distinct, fp_collisions, fp_resizes, fp_slots, spill_segs, spill_rl =
-    match store with
-    | None ->
-      ( Fp_intern.distinct intern,
-        Fp_intern.collisions intern,
-        Fp_intern.resizes intern,
-        Fp_intern.slots intern,
-        0,
-        0 )
-    | Some st ->
-      let r =
-        ( Spill.distinct st,
-          Spill.collisions st,
-          Spill.resizes st,
-          Spill.slots st,
-          Spill.spilled st,
-          Spill.reloads st )
-      in
-      Spill.cleanup st;
-      r
-  in
   { s_histories = !histories;
     s_truncated = !truncated;
     s_states = !states;
@@ -1282,12 +1189,10 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
     s_violation = violation;
     s_capped = capped;
     s_orbit = !orbit_hits;
-    s_fp_distinct = fp_distinct;
-    s_fp_collisions = fp_collisions;
-    s_fp_resizes = fp_resizes;
-    s_fp_slots = fp_slots;
-    s_spill_segments = spill_segs;
-    s_spill_reloads = spill_rl }
+    s_fp_distinct = Fp_intern.distinct intern;
+    s_fp_collisions = Fp_intern.collisions intern;
+    s_fp_resizes = Fp_intern.resizes intern;
+    s_fp_slots = Fp_intern.slots intern }
 
 (* Expand the first [split_depth] levels sequentially (POR-aware, property
    checked, leaves and truncations accounted) and collect the depth-
@@ -1370,34 +1275,16 @@ let zero_capped_sub =
     s_fp_distinct = 0;
     s_fp_collisions = 0;
     s_fp_resizes = 0;
-    s_fp_slots = 0;
-    s_spill_segments = 0;
-    s_spill_reloads = 0 }
+    s_fp_slots = 0 }
 
 let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
     ?(dedup = true) ?(por = true) ?(commute = Op.commute) ?(jobs = 1)
     ?(split_depth = default_split_depth) ?(symmetry = Pid_set.empty)
-    ?mem_budget ?spill_dir ?(spill_seg_keys = 4096) ~layout ~model ~n ~scripts
-    ~property () =
+    ~layout ~model ~n ~scripts ~property () =
   (* Monotonic wall clock, not [Sys.time] (which is CPU time and so *shrinks*
      relative to elapsed time exactly when [jobs] > 1 parallelizes the search
      — or inflates, summing across domains, depending on the runtime). *)
   let t0 = Obs.Clock.now_s () in
-  let spill_base =
-    match spill_dir with
-    | Some d -> d
-    | None ->
-      Filename.concat (Filename.get_temp_dir_name ()) "separation-explore-spill"
-  in
-  let disk_for tag =
-    match mem_budget with
-    | None -> None
-    | Some b -> Some (Filename.concat spill_base tag, max 0 b, spill_seg_keys)
-  in
-  (* Per-task stores mkdir only their own leaf directory. *)
-  (match mem_budget with
-  | None -> ()
-  | Some _ -> ( try Sys.mkdir spill_base 0o700 with Sys_error _ -> ()));
   let split_depth = max 0 split_depth in
   let tasks, pre_h, pre_t, pre_states, pre_maxd, stopped =
     expand ~por ~commute ~property ~scripts ~max_steps_per_history
@@ -1408,7 +1295,7 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
      derived from the stats field itself, so the two can never disagree. *)
   let finish ~histories ~truncated ~states ~dedup_hits ~por_prunes ~tasks:k
       ~max_depth ~orbit_hits ~fp_distinct ~fp_collisions ~fp_resizes
-      ~fp_slots ~spill_segments ~spill_reloads ~violation ~capped =
+      ~fp_slots ~violation ~capped =
     let result =
       { histories;
         truncated;
@@ -1425,8 +1312,6 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
             fp_collisions;
             fp_resizes;
             fp_slots;
-            spill_segments;
-            spill_reloads;
             wall_s = Obs.Clock.elapsed_s ~since:t0 } }
     in
     (match tracer with
@@ -1442,20 +1327,13 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
        are skipped, deterministically. *)
     finish ~histories:pre_h ~truncated:pre_t ~states:pre_states ~dedup_hits:0
       ~por_prunes:0 ~tasks:0 ~max_depth:pre_maxd ~orbit_hits:0 ~fp_distinct:0
-      ~fp_collisions:0 ~fp_resizes:0 ~fp_slots:0 ~spill_segments:0
-      ~spill_reloads:0 ~violation:v ~capped:(v = None)
+      ~fp_collisions:0 ~fp_resizes:0 ~fp_slots:0 ~violation:v
+      ~capped:(v = None)
   | None ->
     let k = List.length tasks in
-    let indexed = List.mapi (fun i task -> (i, task)) tasks in
-    (* Spill directories are derived from the task index (plus an "f"
-       suffix for fixed-budget reconciliation re-runs, which must not
-       share files with the shared-lease attempt) — deterministic, and
-       disjoint across concurrent tasks. *)
-    let run_task ~suffix budget (i, task) =
+    let run_task budget task =
       explore_subtree ~dedup ~por ~commute ~property ~scripts
-        ~max_steps_per_history ~budget ~symmetry
-        ~disk:(disk_for (Printf.sprintf "task%d%s" i suffix))
-        task
+        ~max_steps_per_history ~budget ~symmetry task
     in
     (* Dynamic work-sharing: tasks are drained from [Parallel.map]'s shared
        atomic queue, and each draws history allowance as chunked leases
@@ -1463,7 +1341,7 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
        budget while a spin-heavy sibling starves. *)
     let remaining_cap = max 0 (max_histories - pre_h) in
     let pool = Atomic.make remaining_cap in
-    let raw = Parallel.map ~jobs (run_task ~suffix:"" (B_shared pool)) indexed in
+    let raw = Parallel.map ~jobs (run_task (B_shared pool)) tasks in
     (* Reconciliation, in task order: normalize the first-come-first-served
        lease accounting back to the canonical semantics "task [i] may
        count whatever of [max_histories] its predecessors left over".  A
@@ -1492,11 +1370,11 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
             s
           end
           else begin
-            let s' = run_task ~suffix:"f" (B_fixed b) task in
+            let s' = run_task (B_fixed b) task in
             budget_left := b - s'.s_histories;
             s'
           end)
-        indexed raw
+        tasks raw
     in
     (* Task spans are emitted *here*, after the parallel map, in task order,
        from the reconciled per-task stats — never from inside worker
@@ -1522,9 +1400,6 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
       List.find_map (fun s -> s.s_violation) subs (* first in task order *)
     in
     let sum f = List.fold_left (fun acc s -> acc + f s) 0 subs in
-    (* Every per-task store removed its own directory; with a budget set,
-       drop the (now empty) base directory too, best-effort. *)
-    if mem_budget <> None then (try Sys.rmdir spill_base with Sys_error _ -> ());
     finish
       ~histories:(pre_h + sum (fun s -> s.s_histories))
       ~truncated:(pre_t + sum (fun s -> s.s_truncated))
@@ -1538,19 +1413,8 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
       ~fp_collisions:(sum (fun s -> s.s_fp_collisions))
       ~fp_resizes:(sum (fun s -> s.s_fp_resizes))
       ~fp_slots:(sum (fun s -> s.s_fp_slots))
-      ~spill_segments:(sum (fun s -> s.s_spill_segments))
-      ~spill_reloads:(sum (fun s -> s.s_spill_reloads))
       ~violation
       ~capped:(List.exists (fun s -> s.s_capped) subs)
-
-(* Count interleavings without checking anything (sizing aid).  Dedup and
-   POR are off so the count is the literal number of step-level
-   interleavings, as in the seed checker. *)
-let count ?max_histories ?max_steps_per_history ~layout ~model ~n ~scripts () =
-  (check ?max_histories ?max_steps_per_history ~dedup:false ~por:false ~layout
-     ~model ~n ~scripts
-     ~property:(fun _ -> true) ())
-    .histories
 
 (* Internal canonicalization machinery, re-exported under stable builders
    so the test suite can state the canonicalization laws (idempotence,

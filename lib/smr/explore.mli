@@ -5,14 +5,17 @@
     checks a property on each complete history.  Three reductions make
     exhaustive checking scale well past the naive DFS: canonical
     state-fingerprint deduplication, sleep-set partial-order reduction
-    over {!Op.commute}, and a deterministic frontier split across OCaml 5
-    domains.  Verdicts and statistics (wall time aside) are byte-identical
-    for every [jobs] value.
+    over {!Op.commute}, and symmetry reduction over interchangeable
+    waiters; a deterministic frontier split fans the search out across
+    OCaml 5 domains.  Verdicts and statistics (wall time aside) are
+    byte-identical for every [jobs] value.
 
     The search does not step a {!Sim.t}: it steps memory and the caller's
     cost model directly, keeping exactly what the two contracts below
-    read.  A violating history is rebuilt afterwards as a full-history
-    machine (see {!result}).
+    read.  It does no file I/O: each subtree task keeps its visited states
+    in memory, as {!Fp_intern} ids with their sleep-set antichains, so
+    resident memory grows with [stats.fp_distinct].  A violating history
+    is rebuilt afterwards as a full-history machine (see {!result}).
 
     {b Soundness contract.}  With [dedup]/[por] on (the default), the
     property must be a function of the recorded calls' results and of
@@ -73,12 +76,6 @@ type stats = {
   fp_slots : int;
       (** intern-table slot capacity, summed over tasks; [fp_distinct /.
           fp_slots] is the aggregate occupancy *)
-  spill_segments : int;
-      (** segment files written by the spill store ([mem_budget] runs
-          only; rewrites of reloaded dirty segments included) *)
-  spill_reloads : int;
-      (** spilled segments read back on a probe miss ([mem_budget] runs
-          only) *)
   wall_s : float;
       (** elapsed seconds on the monotonic {e wall} clock ({!Obs.Clock},
           not [Sys.time], which measures CPU time and is distorted by
@@ -143,9 +140,6 @@ val check :
   ?jobs:int ->
   ?split_depth:int ->
   ?symmetry:Sim.Pid_set.t ->
-  ?mem_budget:int ->
-  ?spill_dir:string ->
-  ?spill_seg_keys:int ->
   layout:Var.layout ->
   model:Cost_model.t ->
   n:int ->
@@ -198,22 +192,11 @@ val check :
     [dedup_hits] and [histories] legitimately shrink.  All reported
     numbers stay byte-identical across [jobs] for any fixed [symmetry].
 
-    [mem_budget] (bytes) switches the dedup tables to byte-encoded keys in
-    a segmented, LRU-windowed {!Spill} store: segments beyond the budget
-    page out to files under [spill_dir]/task<i> (default: a
-    "separation-explore-spill" directory under the system temp dir) in
-    segments of [spill_seg_keys] (default 4096) keys, read back on probe
-    misses, and deleted when the task finishes.  The byte encoding is
-    faithful to the structural key equality, so every dedup decision —
-    and hence the verdict and every search counter ([states],
-    [dedup_hits], [orbit_hits], [histories], …) — is byte-identical to
-    an unbudgeted run; only the intern-table diagnostics
-    ([fp_collisions], [fp_resizes], [fp_slots]) change, because they now
-    describe the byte-key index, and [spill_segments]/[spill_reloads]
-    become meaningful.  Two budgeted runs differing only in the budget
-    agree on everything except those two spill counters.  Directories
-    are derived from the task index, so concurrent [check] calls must
-    use distinct [spill_dir]s.
+    With dedup on, every distinct key a task reaches stays resident until
+    the task ends, and tasks running at once hold their tables side by
+    side; [split_depth:0] runs one task, so one table sees every state
+    (see docs/MODEL.md, "Symmetry reduction", for the peak memory measured
+    at the largest scope CI runs).
 
     With [tracer], one {!Obs.Event.Explore_task} span per subtree task is
     emitted after the parallel phase, in task order, with synthetic ticks
@@ -222,18 +205,6 @@ val check :
     metric, recorded from the very [stats.wall_s] value the result
     carries (one clock read; the two can never disagree), which
     deterministic renderings exclude. *)
-
-val count :
-  ?max_histories:int ->
-  ?max_steps_per_history:int ->
-  layout:Var.layout ->
-  model:Cost_model.t ->
-  n:int ->
-  scripts:(Op.pid * script) list ->
-  unit ->
-  int
-(** Number of step-level interleavings, up to the cap; runs with both
-    reductions off so the count is literal. *)
 
 (** Internal canonicalization machinery under stable builders, so the test
     suite can state the canonicalization laws — idempotence, invariance

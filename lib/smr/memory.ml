@@ -150,26 +150,6 @@ let fingerprint t =
     t.cells []
   |> List.rev
 
-(* Canonical byte encoding of {!fingerprint}, appended to [buf]: for each
-   non-fresh cell in address order, the address, the value, the link count
-   and the link pids in ascending order, each as a little-endian 64-bit
-   word.  Exactly the facts {!same_fingerprint} compares — two stores have
-   equal encodings iff they have equal fingerprints — which is what lets
-   the explorer's spill-to-disk mode key its tables on bytes instead of
-   live structures without changing a single dedup decision. *)
-let blit_fingerprint t buf =
-  Addr_map.iter
-    (fun a c ->
-      if not (fresh_like t.layout a c) then begin
-        Buffer.add_int64_le buf (Int64.of_int a);
-        Buffer.add_int64_le buf (Int64.of_int c.value);
-        Buffer.add_int64_le buf (Int64.of_int (Pid_set.cardinal c.links));
-        Pid_set.iter
-          (fun p -> Buffer.add_int64_le buf (Int64.of_int p))
-          c.links
-      end)
-    t.cells
-
 (* --- constant-time behavioral summary (the explorer's hot path) --- *)
 
 let fp_hash t = t.fp_hash

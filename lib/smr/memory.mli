@@ -50,14 +50,6 @@ val fingerprint : t -> (Op.addr * Op.value * Op.pid list) list
     touched cell; the explorer's hot path uses {!fp_hash} and
     {!same_fingerprint} instead and never materializes it. *)
 
-val blit_fingerprint : t -> Buffer.t -> unit
-(** Append a canonical byte encoding of {!fingerprint} to the buffer: per
-    non-fresh cell in address order, the address, value, link count and
-    ascending link pids, each as a little-endian 64-bit word.  Two stores
-    produce equal encodings iff {!same_fingerprint} holds, so byte keys
-    built from it (the explorer's spill-to-disk mode) make exactly the
-    dedup decisions the structural comparison would. *)
-
 val fp_hash : t -> int
 (** Running hash of the behavioral {!fingerprint}, maintained incrementally
     (an O(1) delta per {!apply}), so reading it is constant-time.  Equal

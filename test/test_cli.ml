@@ -44,8 +44,9 @@ let cases =
     ("-a cc-flag -n 3 --polls=-2", 2,
      "separation: explore: --polls must be >= 0, got -2");
     ("-a cc-flag -n 3 --cap=-5", 2, "separation: explore: --cap must be >= 0, got -5");
-    ("-a cc-flag -n 3 --mem-budget=-1", 2,
-     "separation: explore: --mem-budget must be >= 0, got -1");
+    ("-a cc-flag -n 3 --split-depth=-1", 2,
+     "separation: explore: --split-depth must be >= 0, got -1");
+    ("-a cc-flag -n 3 --mem-budget 64", 124, "unknown option '--mem-budget'");
     ("-a nope", 124, "unknown algorithm \"nope\"");
     ("-a cc-flag -k=-1", 124, "invalid value");
     (* Accepted now: symmetry detection used to raise on dsm-queue's
@@ -68,6 +69,11 @@ let adversary_cases =
      "separation: adversary: -n must be >= 1, got 0");
     ("adversary", "-a cc-flag --strategy walk -n 0", 2, Err,
      "separation: adversary: -n must be >= 1, got 0");
+    (* PCT at depth d places d - 1 change points, so d >= 1. *)
+    ("adversary", "-a cc-flag --strategy pct --depth 0", 2, Err,
+     "separation: adversary: --depth must be >= 1, got 0");
+    ("adversary", "-a cc-flag --strategy pct --depth=-3", 2, Err,
+     "separation: adversary: --depth must be >= 1, got -3");
     (* The signaler awaits the participation of waiters the chase erased. *)
     ("adversary", "-a dsm-fixed-term", 1, Err,
      "separation: adversary: dsm-fixed-term: the goose chase phase ran out of \
@@ -87,6 +93,15 @@ let adversary_cases =
     ("adversary", "-a dsm-broadcast -n 8", 0, Out,
      "part 2: signaler p0 incurred 7 RMRs (7 waiters erased, 0 erasures \
       blocked)") ]
+
+(* Case counts, work budgets and case indices are never negative. *)
+let fuzz_cases =
+  [ ("fuzz", "--cases=-1", 2, Err,
+     "separation: fuzz: --cases must be >= 0, got -1");
+    ("fuzz", "--budget=-5", 2, Err,
+     "separation: fuzz: --budget must be >= 0, got -5");
+    ("fuzz", "--only=-3", 2, Err,
+     "separation: fuzz: --only must be >= 0, got -3") ]
 
 (* A refused input names its problem on stderr and prints nothing on
    stdout. *)
@@ -114,7 +129,10 @@ let test_explore_inputs () =
 
 let test_adversary_inputs () = check_cases adversary_cases
 
+let test_fuzz_inputs () = check_cases fuzz_cases
+
 let suite =
   [ case "explore: invalid inputs exit with a message" test_explore_inputs;
     case "adversary and trace --adversary: invalid inputs exit with a message"
-      test_adversary_inputs ]
+      test_adversary_inputs;
+    case "fuzz: invalid inputs exit with a message" test_fuzz_inputs ]

@@ -39,19 +39,21 @@ let check_no_violation name (r : Explore.result) =
   check_true (name ^ ": explored something") (r.Explore.histories > 0)
 
 let test_count_basics () =
-  (* Two processes, one single-step call each: begin+step per process give
+  (* With dedup and POR off, every leaf is one step-level interleaving.
+     Two processes, one single-step call each: begin+step per process give
      2 moves each; interleavings of the 4 events with per-process order
      fixed = C(4,2) = 6. *)
   let ctx = Var.Ctx.create () in
   let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
   let layout = Var.Ctx.freeze ctx in
   let script p = Explore.of_list [ ("w", Program.step (Op.Write (Var.addr x, p))) ] in
-  let n =
-    Explore.count ~layout ~model:(Cost_model.dsm layout) ~n:2
+  let r =
+    Explore.check ~dedup:false ~por:false ~layout
+      ~model:(Cost_model.dsm layout) ~n:2
       ~scripts:[ (0, script 0); (1, script 1) ]
-      ()
+      ~property:(fun _ -> true) ()
   in
-  check_int "six interleavings" 6 n
+  check_int "six interleavings" 6 r.Explore.histories
 
 let test_count_respects_cap () =
   let ctx = Var.Ctx.create () in
@@ -223,42 +225,7 @@ let comparable (r : Explore.result) =
     ( s.Explore.fp_distinct,
       s.Explore.fp_collisions,
       s.Explore.fp_resizes,
-      s.Explore.fp_slots,
-      s.Explore.spill_segments,
-      s.Explore.spill_reloads ) )
-
-(* Same, minus the two spill counters — the only fields on which two
-   budgeted runs with different budgets may differ. *)
-let comparable_no_spill (r : Explore.result) =
-  let s = r.Explore.stats in
-  ( ( r.Explore.histories,
-      r.Explore.truncated,
-      r.Explore.complete,
-      Option.map Sim.calls r.Explore.violation ),
-    ( s.Explore.states,
-      s.Explore.dedup_hits,
-      s.Explore.por_prunes,
-      s.Explore.tasks,
-      s.Explore.max_depth,
-      s.Explore.orbit_hits ),
-    (s.Explore.fp_distinct, s.Explore.fp_collisions, s.Explore.fp_resizes) )
-
-(* The verdict and search counters only — what a budgeted (byte-keyed)
-   run must share with an in-memory run, whose intern-table diagnostics
-   (collisions, resizes, slots) describe a differently-hashed index. *)
-let comparable_search (r : Explore.result) =
-  let s = r.Explore.stats in
-  ( ( r.Explore.histories,
-      r.Explore.truncated,
-      r.Explore.complete,
-      Option.map Sim.calls r.Explore.violation ),
-    ( s.Explore.states,
-      s.Explore.dedup_hits,
-      s.Explore.por_prunes,
-      s.Explore.tasks,
-      s.Explore.max_depth,
-      s.Explore.orbit_hits,
-      s.Explore.fp_distinct ) )
+      s.Explore.fp_slots ) )
 
 let test_jobs_deterministic () =
   let layout, scripts =
@@ -740,73 +707,37 @@ let test_cc_flag_golden () =
      Results.to_json
        (Exhaustive.table setup prepared (Exhaustive.search setup prepared)))
 
-(* --- spill-to-disk dedup storage --- *)
+(* The scenario refuses a negative split depth itself, so the benchmark and
+   the golden generator, which build setups without the CLI, cannot run a
+   monolithic search that reports a depth it did not use. *)
+let test_setup_refuses_negative_split_depth () =
+  let setup = { (Exhaustive.setup (module Cc_flag)) with n = 3 } in
+  let msg = "--split-depth must be >= 0, got -1" in
+  check_true "split depth 0 is accepted"
+    (Exhaustive.validate { setup with split_depth = 0 } = Ok ());
+  check_true "split depth -1 is refused with a message"
+    (Exhaustive.validate { setup with split_depth = -1 } = Error msg);
+  Alcotest.check_raises "prepare refuses it too" (Invalid_argument msg)
+    (fun () -> ignore (Exhaustive.prepare { setup with split_depth = -1 }))
 
-let spill_dir suffix =
-  Filename.concat (Filename.get_temp_dir_name ())
-    ("separation-test-spill-" ^ suffix)
+(* --- independent searches --- *)
 
-let test_spill_determinism () =
+(* Each search owns its dedup table: two searches started together, each
+   split over two jobs, report exactly what one search run alone reports. *)
+let test_concurrent_searches_independent () =
   let layout, scripts = scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
-  let run ?jobs ~budget suffix =
-    Explore.check ?jobs ~mem_budget:budget ~spill_dir:(spill_dir suffix)
-      ~spill_seg_keys:16 ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
+  let run () =
+    Explore.check ~jobs:2 ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
       ~property:spec_ok ()
   in
-  (* A budget far below the table size forces real paging; a roomy budget
-     never evicts.  Tiny segments (16 keys) make the paging heavy. *)
-  let tight = run ~budget:4096 "tight" in
-  let roomy = run ~budget:(64 * 1024 * 1024) "roomy" in
-  check_no_violation "tight budget" tight;
-  check_true "tight budget: complete" tight.Explore.complete;
-  check_true "tight budget spilled segments"
-    (tight.Explore.stats.Explore.spill_segments > 0);
-  check_true "and reloaded some" (tight.Explore.stats.Explore.spill_reloads > 0);
-  check_int "roomy budget never spilled" 0
-    roomy.Explore.stats.Explore.spill_segments;
-  check_true "identical runs modulo the spill counters"
-    (comparable_no_spill tight = comparable_no_spill roomy);
-  (* Byte-keyed dedup decisions match the in-memory structural ones. *)
-  let mem =
-    Explore.check ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
-      ~property:spec_ok ()
-  in
-  check_int "in-memory run has no spill counters" 0
-    (mem.Explore.stats.Explore.spill_segments
-    + mem.Explore.stats.Explore.spill_reloads);
-  check_true "spilled search equals the in-memory search"
-    (comparable_search tight = comparable_search mem);
-  (* Per-task spill directories keep paging deterministic across jobs —
-     including the spill counters themselves. *)
-  let tight2 = run ~jobs:2 ~budget:4096 "tight-j2" in
-  check_true "spill counters identical at jobs=2"
-    (comparable tight2 = comparable tight)
-
-let test_spill_store_basics () =
-  (* Unit-level: dense first-seen ids survive paging; reloads hand back
-     exact key bytes and the latest payload. *)
-  let dir = spill_dir "unit" in
-  let t =
-    Spill.create ~dir ~seg_keys:16 ~budget_bytes:1 ~chain_zero:0
-      ~chain_bytes:(fun _ -> 8)
-      ()
-  in
-  let key i = Printf.sprintf "key-%04d-%s" i (String.make 40 'x') in
-  let ids = Array.init 200 (fun i -> Spill.intern t ~hash:(i * 7919) (key i)) in
-  check_true "dense first-seen ids" (Array.to_list ids = List.init 200 Fun.id);
-  check_true "eviction happened" (Spill.spilled t > 0);
-  Spill.set_chain t 3 42;
-  for i = 0 to 199 do
-    check_int (Printf.sprintf "re-intern %d is stable" i) i
-      (Spill.intern t ~hash:(i * 7919) (key i))
-  done;
-  check_int "re-interning adds nothing" 200 (Spill.distinct t);
-  check_true "probe misses reloaded segments" (Spill.reloads t > 0);
-  check_int "payload update survives paging" 42 (Spill.chain t 3);
-  check_int "untouched payload keeps its zero" 0 (Spill.chain t 7);
-  check_true "key bytes round-trip exactly" (String.equal (Spill.key t 3) (key 3));
-  Spill.cleanup t;
-  check_false "cleanup removes the spill directory" (Sys.file_exists dir)
+  let alone = comparable (run ()) in
+  let other = Domain.spawn run in
+  let here = run () in
+  let there = Domain.join other in
+  check_no_violation "search beside another" here;
+  check_true "a search run beside another equals the lone search"
+    (comparable here = alone);
+  check_true "and so does the other" (comparable there = alone)
 
 (* --- stats plumbing --- *)
 
@@ -891,8 +822,10 @@ let suite =
       test_symmetry_mutation_caught;
     case "4 waiters under symmetry: identical at every jobs"
       test_symmetry_jobs_deterministic;
-    case "spilled search identical to in-memory" test_spill_determinism;
-    case "spill store: ids and payloads survive paging" test_spill_store_basics;
+    case "searches started together are independent"
+      test_concurrent_searches_independent;
+    case "explore setup refuses a negative split depth"
+      test_setup_refuses_negative_split_depth;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
     case "state hash: no full-hash collisions" test_state_hash_collision_free;
     case "wall-clock metric has a single source" test_wall_metric_single_source;
