@@ -42,6 +42,14 @@ let model =
 let n_arg =
   Arg.(value & opt int 16 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
+(* Exit 2 with subcommand [cmd]'s name and the reason when a check
+   refused its input. *)
+let accept ~cmd = function
+  | Ok () -> ()
+  | Error msg ->
+    Fmt.epr "separation: %s: %s@." cmd msg;
+    exit 2
+
 let run_cmd =
   let waiters =
     Arg.(
@@ -72,7 +80,19 @@ let run_cmd =
           ~doc:"Emit the outcome as a stable JSON table on stdout.")
   in
   let run (module A : Core.Signaling.POLLING) model n waiters seed trace json =
+    accept ~cmd:"run" (Core.Signaling.at_least 1 "-n" n);
     let cfg = Core.Experiment.config_for (module A) ~n in
+    let configured = List.length cfg.Core.Signaling.waiters in
+    accept ~cmd:"run"
+      (match (waiters, seed) with
+      | None, _ -> Ok ()
+      | Some _, Some _ ->
+        Error "--waiters restricts the phased schedule; --seed runs every waiter"
+      | Some k, None when k > configured ->
+        Error
+          (Printf.sprintf "--waiters must be <= %d (%s at -n %d), got %d"
+             configured A.name n k)
+      | Some k, None -> Core.Signaling.at_least 0 "--waiters" k);
     let o =
       match seed with
       | Some seed -> Core.Scenario.run_random (module A) ~model ~cfg ~seed ()
@@ -100,14 +120,6 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run a signaling algorithm and report RMR accounting.")
     Term.(const run $ algo $ model $ n_arg $ waiters $ seed $ trace $ json)
-
-(* Exit 2 with subcommand [cmd]'s name and the reason when a check
-   refused its input. *)
-let accept ~cmd = function
-  | Ok () -> ()
-  | Error msg ->
-    Fmt.epr "separation: %s: %s@." cmd msg;
-    exit 2
 
 let explore_cmd =
   let waiters =
@@ -445,11 +457,11 @@ let trace_cmd =
     Term.(
       const run $ algo $ model $ n_arg $ adversary $ format $ metrics $ jobs)
 
-(* The registry-driven table pipeline: `tables` (and its historical alias
-   `experiments`) resolves ids against Core.Experiment_registry, fans the
-   runs out across domains, and renders text, CSV or JSON.  Output order
-   follows the registry (or the requested id order), never completion
-   order, so every --jobs level is byte-identical. *)
+(* The registry-driven table pipeline: `tables` resolves ids against
+   Core.Experiment_registry, fans the runs out across domains, and renders
+   text, CSV or JSON.  Output order follows the registry (or the requested
+   id order), never completion order, so every --jobs level is
+   byte-identical. *)
 
 let resolve_specs names =
   match names with
@@ -508,7 +520,7 @@ let run_tables format jobs reduced list names =
       exit 1
   end
 
-let tables_term =
+let tables_cmd =
   let names =
     Arg.(
       value & pos_all string []
@@ -539,8 +551,8 @@ let tables_term =
     Arg.(
       value & flag
       & info [ "reduced" ]
-          ~doc:"Use the registry's reduced parameter sets (the ones the \
-                bechamel benches time) instead of the full tables.")
+          ~doc:"Use the registry's small reduced parameter sets (the ones \
+                CI diffs across --jobs levels) instead of the full tables.")
   in
   let list =
     Arg.(
@@ -549,20 +561,12 @@ let tables_term =
           ~doc:"List registered experiments with their claims and \
                 expected-shape predicates, then exit.")
   in
-  Term.(const run_tables $ format $ jobs $ reduced $ list $ names)
-
-let tables_cmd =
   Cmd.v
     (Cmd.info "tables"
        ~doc:
          "Regenerate the claim-derived experiment tables (EXPERIMENTS.md) \
           from the registry; text, CSV or JSON; domain-parallel with --jobs.")
-    tables_term
-
-let experiments_cmd =
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Alias of $(b,tables).")
-    tables_term
+    Term.(const run_tables $ format $ jobs $ reduced $ list $ names)
 
 (* `lint` statically verifies every registered algorithm's declared claims
    (primitive class, spin locality, DSM RMR bound, amortized CC RMR bound,
@@ -625,6 +629,8 @@ let lint_cmd =
              keep it small.")
   in
   let run n json mutants fuel timing only names =
+    (* A signaling entry needs its signaler and at least one waiter. *)
+    accept ~cmd:"lint" (Core.Signaling.at_least 2 "-n" n);
     let names = match names @ only with [] -> None | l -> Some l in
     let metrics = Obs.Metrics.create () in
     let reports =
@@ -674,84 +680,61 @@ let lint_cmd =
           independence relation.  Exits nonzero on any violation.")
     Term.(const run $ lint_n $ json $ mutants $ fuel $ timing $ only $ names)
 
-(* Shared by `load` and `profile`. *)
+(* Shared by `load` and `profile`.  A spec [Workload.Arrivals.validate]
+   refuses is a parse error here, like a malformed one. *)
 let arrivals_conv =
   let parse s =
-      let fail () =
-        Error
-          (`Msg
-            (Printf.sprintf
-               "bad arrival spec %S (uniform:GAP | poisson:MEAN | \
-                bursty:BURST,LULL)"
-               s))
-      in
-      match String.index_opt s ':' with
-      | None -> fail ()
-      | Some i -> (
-        let kind = String.sub s 0 i in
-        let rest = String.sub s (i + 1) (String.length s - i - 1) in
-        try
-          match kind with
-          | "uniform" -> Ok (Workload.Arrivals.Uniform (int_of_string rest))
-          | "poisson" -> Ok (Workload.Arrivals.Poisson (float_of_string rest))
-          | "bursty" -> (
-            match String.split_on_char ',' rest with
-            | [ b; l ] ->
-              Ok
-                (Workload.Arrivals.Bursty
-                   { burst = int_of_string b; mean_lull = float_of_string l })
-            | _ -> fail ())
-          | _ -> fail ()
-        with Failure _ -> fail ())
+    let fail () =
+      Error
+        (`Msg
+          (Printf.sprintf
+             "bad arrival spec %S (uniform:GAP | poisson:MEAN | \
+              bursty:BURST,LULL)"
+             s))
     in
-    let print ppf a = Fmt.string ppf (Workload.Arrivals.spec_name a) in
-    Arg.conv (parse, print)
-
-(* Build the scenario grid `load` and `profile` share: every requested k
-   times every requested algorithm, under one spec shape. *)
-let load_scenarios ~algos ~model ~ks ~seed ~polls ~signals ~signal_every
-    ~arrivals ~crash_prob ~leave_prob ~ways =
-  let algos =
-    match algos with
-    | [] ->
-      List.filter_map Core.Experiment.find_algorithm
-        [ "cc-flag"; "dsm-broadcast"; "dsm-queue" ]
-    | l -> l
+    let checked spec =
+      match Workload.Arrivals.validate spec with
+      | Ok () -> Ok spec
+      | Error msg ->
+        Error (`Msg (Printf.sprintf "bad arrival spec %S: %s" s msg))
+    in
+    match String.index_opt s ':' with
+    | None -> fail ()
+    | Some i -> (
+      let kind = String.sub s 0 i in
+      let rest = String.sub s (i + 1) (String.length s - i - 1) in
+      try
+        match kind with
+        | "uniform" -> checked (Workload.Arrivals.Uniform (int_of_string rest))
+        | "poisson" -> checked (Workload.Arrivals.Poisson (float_of_string rest))
+        | "bursty" -> (
+          match String.split_on_char ',' rest with
+          | [ b; l ] ->
+            checked
+              (Workload.Arrivals.Bursty
+                 { burst = int_of_string b; mean_lull = float_of_string l })
+          | _ -> fail ())
+        | _ -> fail ()
+      with Failure _ -> fail ())
   in
-  List.concat_map
-    (fun k ->
-      let spec =
-        { Workload.Driver.default_spec with
-          seed;
-          waiters = k;
-          polls_per_waiter = polls;
-          signals;
-          signal_every =
-            (if signal_every > 0 then signal_every
-             else max 1 (4 * k / max 1 signals));
-          arrivals;
-          crash_prob;
-          leave_early_prob = leave_prob }
-      in
-      List.map
-        (fun algorithm -> Core.Loadgen.scenario ~ways ~algorithm ~model spec)
-        algos)
-    ks
+  let print ppf a = Fmt.string ppf (Workload.Arrivals.spec_name a) in
+  Arg.conv (parse, print)
 
-(* `load` runs the open-system workload driver over the flat engine: waiters
-   arrive by a seeded arrival process, poll a few times and leave (or crash),
-   while pid 0 signals on a cadence.  Stdout carries only seed-determined
-   figures — CI diffs it across runs and --jobs levels — while wall-clock
-   throughput goes to stderr and, when asked, to the --perf-out JSON. *)
-let load_cmd =
+(* The flags `load` and `profile` share, defined once: a term yielding the
+   scenario grid (every requested k times every requested algorithm,
+   under one spec shape) and the domain count to fan it across.  A value
+   the grid cannot run exits 2 naming its flag, before anything runs. *)
+let grid_term ~cmd ~verb =
   let algos =
     Arg.(
       value
       & opt_all algo_conv []
       & info [ "a"; "algorithm" ] ~docv:"NAME"
           ~doc:
-            "Signaling algorithm(s) to drive (repeatable).  Default: \
-             cc-flag, dsm-broadcast and dsm-queue.")
+            (Printf.sprintf
+               "Signaling algorithm(s) to %s (repeatable).  Default: \
+                cc-flag, dsm-broadcast and dsm-queue."
+               verb))
   in
   let ks =
     Arg.(
@@ -821,6 +804,58 @@ let load_cmd =
             "Domains to fan the scenario grid across.  Stdout bytes are \
              identical for every value.")
   in
+  let grid algos model ks seed polls signals signal_every arrivals crash_prob
+      leave_prob ways jobs =
+    accept ~cmd (Core.Signaling.at_least 1 "--ways" ways);
+    let algos =
+      match algos with
+      | [] ->
+        List.filter_map Core.Experiment.find_algorithm
+          [ "cc-flag"; "dsm-broadcast"; "dsm-queue" ]
+      | l -> l
+    in
+    let scenarios =
+      List.concat_map
+        (fun k ->
+          let spec =
+            { Workload.Driver.default_spec with
+              seed;
+              waiters = k;
+              polls_per_waiter = polls;
+              signals;
+              signal_every =
+                (if signal_every = 0 then max 1 (4 * k / max 1 signals)
+                 else signal_every);
+              arrivals;
+              crash_prob;
+              leave_early_prob = leave_prob }
+          in
+          accept ~cmd (Workload.Driver.validate spec);
+          List.map
+            (fun algorithm -> Core.Loadgen.scenario ~ways ~algorithm ~model spec)
+            algos)
+        ks
+    in
+    (scenarios, max 1 jobs)
+  in
+  Term.(
+    const grid $ algos $ model $ ks $ seed $ polls $ signals $ signal_every
+    $ arrivals $ crash_prob $ leave_prob $ ways $ jobs)
+
+(* Open the file an output flag names before any work starts, so a path
+   that cannot be written exits 2 before stdout is printed. *)
+let open_output ~cmd ~flag path =
+  try open_out path
+  with Sys_error msg ->
+    Fmt.epr "separation: %s: %s: %s@." cmd flag msg;
+    exit 2
+
+(* `load` runs the open-system workload driver over the flat engine: waiters
+   arrive by a seeded arrival process, poll a few times and leave (or crash),
+   while pid 0 signals on a cadence.  Stdout carries only seed-determined
+   figures — CI diffs it across runs and --jobs levels — while wall-clock
+   throughput goes to stderr and, when asked, to the --perf-out JSON. *)
+let load_cmd =
   let json =
     Arg.(
       value & flag
@@ -835,14 +870,12 @@ let load_cmd =
             "Also write wall-clock figures (states/sec, bytes/process) as \
              JSON to $(docv).  Never byte-stable; keep it out of diffs.")
   in
-  let run algos model ks seed polls signals signal_every arrivals crash_prob
-      leave_prob ways jobs json perf_out =
-    let scenarios =
-      load_scenarios ~algos ~model ~ks ~seed ~polls ~signals ~signal_every
-        ~arrivals ~crash_prob ~leave_prob ~ways
+  let run (scenarios, jobs) json perf_out =
+    let perf_out =
+      Option.map (open_output ~cmd:"load" ~flag:"--perf-out") perf_out
     in
     let runs =
-      Core.Parallel.map ~jobs:(max 1 jobs)
+      Core.Parallel.map ~jobs
         (fun sc ->
           let r, t = Core.Loadgen.timed sc in
           (sc, r, t))
@@ -864,13 +897,12 @@ let load_cmd =
           t.Core.Loadgen.bytes_per_process
           (if r.Workload.Driver.r_fuel_exhausted then " FUEL EXHAUSTED" else ""))
       runs;
-    match perf_out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Core.Loadgen.perf_json (List.map (fun (sc, _, t) -> (sc, t)) runs));
-      close_out oc
+    Option.iter
+      (fun oc ->
+        output_string oc
+          (Core.Loadgen.perf_json (List.map (fun (sc, _, t) -> (sc, t)) runs));
+        close_out oc)
+      perf_out
   in
   Cmd.v
     (Cmd.info "load"
@@ -878,9 +910,7 @@ let load_cmd =
          "Drive an open-system heavy-traffic workload (arrivals, churn, \
           crashes) over the flat simulation engine and report streaming \
           RMR/latency accounting; scales to k = 10^6 waiters.")
-    Term.(
-      const run $ algos $ model $ ks $ seed $ polls $ signals $ signal_every
-      $ arrivals $ crash_prob $ leave_prob $ ways $ jobs $ json $ perf_out)
+    Term.(const run $ grid_term ~cmd:"load" ~verb:"drive" $ json $ perf_out)
 
 (* `profile` is `load` with the counter planes armed: the same driver and
    seed stream, plus deterministic per-cell / per-pid / per-pc RMR
@@ -888,83 +918,6 @@ let load_cmd =
    (one lane per cell).  Stdout is a function of the flags alone, diffed
    by CI across runs and --jobs levels. *)
 let profile_cmd =
-  let algos =
-    Arg.(
-      value
-      & opt_all algo_conv []
-      & info [ "a"; "algorithm" ] ~docv:"NAME"
-          ~doc:
-            "Signaling algorithm(s) to profile (repeatable).  Default: \
-             cc-flag, dsm-broadcast and dsm-queue.")
-  in
-  let ks =
-    Arg.(
-      value
-      & opt_all int [ 1000 ]
-      & info [ "k"; "waiters" ] ~docv:"K"
-          ~doc:"Waiters that join over the run (repeatable).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "RNG seed; the whole stdout document is a function of the \
-             scenario grid and this seed.")
-  in
-  let polls =
-    Arg.(
-      value & opt int 2
-      & info [ "polls" ] ~docv:"P" ~doc:"Poll() budget per waiter.")
-  in
-  let signals =
-    Arg.(
-      value & opt int 8
-      & info [ "signals" ] ~docv:"S" ~doc:"Signal() calls pid 0 issues.")
-  in
-  let signal_every =
-    Arg.(
-      value & opt int 0
-      & info [ "signal-every" ] ~docv:"TICKS"
-          ~doc:
-            "Ticks between signal begins; 0 (default) spreads the signals \
-             across the arrival span.")
-  in
-  let arrivals =
-    Arg.(
-      value
-      & opt arrivals_conv (Workload.Arrivals.Poisson 2.0)
-      & info [ "arrivals" ] ~docv:"SPEC"
-          ~doc:
-            "Arrival process: $(b,uniform:GAP), $(b,poisson:MEAN) or \
-             $(b,bursty:BURST,LULL).")
-  in
-  let crash_prob =
-    Arg.(
-      value & opt float 0.0
-      & info [ "crash-prob" ] ~docv:"P"
-          ~doc:"Chance a beginning Poll() crashes mid-call.")
-  in
-  let leave_prob =
-    Arg.(
-      value & opt float 0.0
-      & info [ "leave-prob" ] ~docv:"P"
-          ~doc:"Chance a waiter leaves before exhausting its poll budget.")
-  in
-  let ways =
-    Arg.(
-      value & opt int 8
-      & info [ "ways" ] ~docv:"W"
-          ~doc:"Cache lines per process under a CC model.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"J"
-          ~doc:
-            "Domains to fan the scenario grid across.  Stdout bytes are \
-             identical for every value.")
-  in
   let top =
     Arg.(
       value & opt int 10
@@ -999,19 +952,18 @@ let profile_cmd =
             "Transactions recorded for --chrome-out; overflow is counted \
              on stderr, not recorded.")
   in
-  let run algos model ks seed polls signals signal_every arrivals crash_prob
-      leave_prob ways jobs top json csv chrome_out chrome_cap =
-    let scenarios =
-      load_scenarios ~algos ~model ~ks ~seed ~polls ~signals ~signal_every
-        ~arrivals ~crash_prob ~leave_prob ~ways
+  let run (scenarios, jobs) top json csv chrome_out chrome_cap =
+    accept ~cmd:"profile" (Core.Signaling.at_least 0 "--top" top);
+    accept ~cmd:"profile" (Core.Signaling.at_least 0 "--chrome-cap" chrome_cap);
+    let chrome_out =
+      Option.map (open_output ~cmd:"profile" ~flag:"--chrome-out") chrome_out
     in
     let indexed = List.mapi (fun i sc -> (i, sc)) scenarios in
     let runs =
-      Core.Parallel.map ~jobs:(max 1 jobs)
+      Core.Parallel.map ~jobs
         (fun (i, sc) ->
           let record_cells =
-            if i = 0 && chrome_out <> None then Some (max 0 chrome_cap)
-            else None
+            if i = 0 && Option.is_some chrome_out then Some chrome_cap else None
           in
           (sc, Core.Profile.run ?record_cells sc))
         indexed
@@ -1032,15 +984,14 @@ let profile_cmd =
           Core.Report.print (Core.Results.to_report t);
           print_newline ())
         tables;
-    (match (chrome_out, runs) with
-    | Some path, (_, r) :: _ ->
-      let oc = open_out path in
+    match (chrome_out, runs) with
+    | Some oc, (_, r) :: _ ->
       output_string oc (Core.Profile.chrome_trace r);
       close_out oc;
       if r.Core.Profile.p_cells_dropped > 0 then
         Fmt.epr "profile: chrome export capped: %d transactions dropped@."
           r.Core.Profile.p_cells_dropped
-    | _ -> ())
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1051,8 +1002,7 @@ let profile_cmd =
           breakdowns — the observable half of the CC/DSM separation.  \
           Byte-deterministic for a fixed seed, at any --jobs.")
     Term.(
-      const run $ algos $ model $ ks $ seed $ polls $ signals $ signal_every
-      $ arrivals $ crash_prob $ leave_prob $ ways $ jobs $ top $ json $ csv
+      const run $ grid_term ~cmd:"profile" ~verb:"profile" $ top $ json $ csv
       $ chrome_out $ chrome_cap)
 
 (* `fuzz` streams seeded random cases through the differential oracle
@@ -1209,5 +1159,4 @@ let () =
        (Cmd.group
           (Cmd.info "separation" ~version:"1.0.0" ~doc)
           [ run_cmd; adversary_cmd; explore_cmd; trace_cmd; tables_cmd;
-            experiments_cmd; lint_cmd; load_cmd; profile_cmd; fuzz_cmd;
-            list_cmd ]))
+            lint_cmd; load_cmd; profile_cmd; fuzz_cmd; list_cmd ]))

@@ -22,11 +22,12 @@ let find_algorithm name =
     polling_algorithms
 
 (* Standard configuration: process 0 signals, everyone else may wait.  The
-   single-waiter algorithm gets exactly one waiter. *)
+   single-waiter algorithm gets one waiter when there is a process for it
+   (a 1-process system has none, as for every other algorithm). *)
 let config_for (module A : Signaling.POLLING) ~n =
   let waiters =
     match A.flexibility.Signaling.max_waiters with
-    | Some 1 -> [ 1 ]
+    | Some 1 when n >= 2 -> [ 1 ]
     | _ -> List.init (n - 1) (fun i -> i + 1)
   in
   Signaling.config ~n ~waiters ~signalers:[ 0 ]

@@ -15,7 +15,7 @@ val find_algorithm : string -> (module Signaling.POLLING) option
 
 val config_for : (module Signaling.POLLING) -> n:int -> Signaling.config
 (** The standard configuration: process 0 signals, everyone else may wait
-    (one waiter for the single-waiter algorithm). *)
+    (one waiter for the single-waiter algorithm, none when [n = 1]). *)
 
 val locks : (module Sync.Mutex_intf.LOCK) list
 (** The Section 3 mutual-exclusion landscape, in presentation order. *)

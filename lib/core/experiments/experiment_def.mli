@@ -2,13 +2,14 @@
 
     Each of the suite's experiments lives in its own module under
     [lib/core/experiments/] and exposes a {!spec}; the registration line in
-    {!Experiment_registry} makes it discoverable by the CLI, the bench
-    harness and the tests.  Adding an experiment is one new file plus that
+    {!Experiment_registry} makes it discoverable by the CLI and the
+    tests.  Adding an experiment is one new file plus that
     one line. *)
 
 (** Which parameter set a run uses: [Default] regenerates the full
-    EXPERIMENTS.md tables; [Reduced] is the small set the bechamel benches
-    time (and CI smoke-runs). *)
+    EXPERIMENTS.md tables; [Reduced] is the small set of
+    [separation tables --reduced], which CI diffs across [--jobs]
+    levels. *)
 type size = Default | Reduced
 
 type spec = {

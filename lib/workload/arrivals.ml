@@ -20,13 +20,25 @@ let spec_name = function
 
 type t = { spec : spec; mutable in_burst : int }
 
+(* The one set of rules an arrival spec must satisfy: [make] raises from
+   it, [Driver.validate] reports it, and the CLI's converter refuses what
+   it refuses.  Non-finite means are refused with the non-positive ones:
+   an exponential draw with an infinite or NaN mean has no tick count. *)
+let validate = function
+  | Uniform g when g < 0 ->
+    Error (Printf.sprintf "uniform gap must be >= 0, got %d" g)
+  | Poisson m when not (m > 0.0 && Float.is_finite m) ->
+    Error (Printf.sprintf "Poisson mean must be a positive number, got %g" m)
+  | Bursty { burst; _ } when burst < 1 ->
+    Error (Printf.sprintf "burst must be >= 1, got %d" burst)
+  | Bursty { mean_lull = l; _ } when not (l > 0.0 && Float.is_finite l) ->
+    Error (Printf.sprintf "mean lull must be a positive number, got %g" l)
+  | Uniform _ | Poisson _ | Bursty _ -> Ok ()
+
 let make spec =
-  (match spec with
-  | Uniform g when g < 0 -> invalid_arg "Arrivals: negative uniform gap"
-  | Poisson m when m <= 0.0 -> invalid_arg "Arrivals: Poisson mean must be positive"
-  | Bursty { burst; mean_lull } when burst <= 0 || mean_lull <= 0.0 ->
-    invalid_arg "Arrivals: bad burst shape"
-  | _ -> ());
+  (match validate spec with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Arrivals: " ^ msg));
   { spec; in_burst = 0 }
 
 (* Ticks until the next arrival after this one. *)

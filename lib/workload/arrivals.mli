@@ -20,9 +20,12 @@ val spec_name : spec -> string
 type t
 (** A spec plus its (tiny) sampling state — where a burst stands. *)
 
+val validate : spec -> (unit, string) result
+(** [Error] with the reason on a negative uniform gap, a Poisson mean or
+    burst lull that is not a positive finite number, or a burst below 1. *)
+
 val make : spec -> t
-(** Validates the shape: raises [Invalid_argument] on a negative uniform
-    gap, a non-positive Poisson mean, or a degenerate burst. *)
+(** Raises [Invalid_argument] on what {!validate} refuses. *)
 
 val next_gap : t -> Rng.t -> int
 (** Ticks until the next arrival after this one.  Draws from [rng] only

@@ -87,11 +87,33 @@ let rmrs_per_op r =
   let ops = r.r_polls + r.r_signals in
   if ops = 0 then 0.0 else float_of_int r.r_total_rmrs /. float_of_int ops
 
+(* The rules a spec must satisfy, each named by the `load`/`profile` flag
+   that sets its field.  [run] raises from them and the CLI refuses what
+   they refuse, so they exist once. *)
+let validate spec =
+  let ( let* ) = Result.bind in
+  let at_least lo name v =
+    if v < lo then Error (Printf.sprintf "%s must be >= %d, got %d" name lo v)
+    else Ok ()
+  in
+  let probability name p =
+    if p >= 0.0 && p <= 1.0 then Ok ()
+    else Error (Printf.sprintf "%s must be in [0, 1], got %g" name p)
+  in
+  let* () = at_least 0 "--waiters" spec.waiters in
+  let* () = at_least 1 "--polls" spec.polls_per_waiter in
+  let* () = at_least 0 "--signals" spec.signals in
+  let* () = at_least 0 "--signal-every" spec.signal_every in
+  let* () = probability "--crash-prob" spec.crash_prob in
+  let* () = probability "--leave-prob" spec.leave_early_prob in
+  Result.map_error (( ^ ) "--arrivals: ") (Arrivals.validate spec.arrivals)
+
 let run ?ll_ways ?counters ?on_cache ~model ~layout ~n (inst : instance) spec =
-  if spec.waiters < 0 || n < spec.waiters + 1 then
+  (match validate spec with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Driver.run: " ^ msg));
+  if n < spec.waiters + 1 then
     invalid_arg "Driver.run: need n >= waiters + 1 (pid 0 is the signaler)";
-  if spec.signals < 0 || spec.polls_per_waiter < 1 then
-    invalid_arg "Driver.run: bad spec";
   let rng = Rng.create spec.seed in
   let arr = Arrivals.make spec.arrivals in
   (* --- streaming accumulators --- *)

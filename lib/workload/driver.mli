@@ -71,6 +71,12 @@ val rmrs_per_signal : report -> float
 val rmrs_per_op : report -> float
 (** Total RMRs amortized over every completed call. *)
 
+val validate : spec -> (unit, string) result
+(** [Error] with a reason naming the `load`/`profile` flag behind the
+    field: negative [waiters], [signals] or [signal_every], fewer than one
+    poll per waiter, a [crash_prob] or [leave_early_prob] outside [0, 1],
+    or arrivals {!Arrivals.validate} refuses. *)
+
 val run :
   ?ll_ways:int ->
   ?counters:Obs.Counters.t ->
@@ -84,8 +90,9 @@ val run :
 (** Run the open system to completion (all waiters drained, all signals
     issued) or until [fuel] runs out.  [n] must cover the signaler plus
     every waiter ([n >= waiters + 1]); raises [Invalid_argument]
-    otherwise.  [counters] and [on_cache] are handed to the underlying
-    {!Smr.Flat_sim.create} unchanged — arm counter planes to get per-cell
-    / per-pid / per-pc attribution of the run at no steady-state
-    allocation (group assignment is the caller's; the profiler uses
-    group 0 = signaler, group 1 = waiters). *)
+    otherwise, and on a spec {!validate} refuses.  [counters] and
+    [on_cache] are handed to the underlying {!Smr.Flat_sim.create}
+    unchanged — arm counter planes to get per-cell / per-pid / per-pc
+    attribution of the run at no steady-state allocation (group
+    assignment is the caller's; the profiler uses group 0 = signaler,
+    group 1 = waiters). *)

@@ -1,9 +1,9 @@
 (* The command line on inputs it must refuse — or once died on: each case
    runs one subcommand and checks its exit code and the message on the
-   stream the case names (stderr, except for the adversary's accepted
-   row, whose result is on stdout).  Invalid input exits 2 with a message
-   naming the problem (cmdliner's own parse errors exit 124); never an
-   internal error. *)
+   stream the case names (stderr, except for accepted rows whose result
+   is on stdout).  Invalid input exits 2 with a message naming the
+   problem (cmdliner's own parse errors exit 124); never an internal
+   error. *)
 
 open Test_util
 
@@ -103,6 +103,77 @@ let fuzz_cases =
     ("fuzz", "--only=-3", 2, Err,
      "separation: fuzz: --only must be >= 0, got -3") ]
 
+(* `run` once died on -n 0 (List.init) and on a single-waiter algorithm
+   at -n 1, reported more participants than processes when -k exceeded
+   the waiters, and dropped -k silently under --seed. *)
+let run_cases =
+  [ ("run", "-a cc-flag -n 0", 2, Err, "separation: run: -n must be >= 1, got 0");
+    ("run", "-a cc-flag -n 3 -k 5", 2, Err,
+     "separation: run: --waiters must be <= 2 (cc-flag at -n 3), got 5");
+    ("run", "-a dsm-single -n 4 -k 2", 2, Err,
+     "separation: run: --waiters must be <= 1 (dsm-single at -n 4), got 2");
+    ("run", "-a cc-flag -n 4 --seed 3 -k 2", 2, Err,
+     "separation: run: --waiters restricts the phased schedule; --seed runs \
+      every waiter");
+    ("run", "-a dsm-single -n 1", 0, Out, "dsm-single under dsm (N=1)") ]
+
+(* `load` and `profile` share one flag term, so both refuse the same
+   values under their own names.  Each of these once died with an
+   internal error (exit 125), ran silently on a meaningless value, or
+   failed on its output file after printing stdout.  What the arrival
+   converter refuses is a cmdliner parse error (exit 124). *)
+let load_cases =
+  [ ("load", "--polls 0", 2, Err, "separation: load: --polls must be >= 1, got 0");
+    ("load", "--signals=-3", 2, Err,
+     "separation: load: --signals must be >= 0, got -3");
+    ("load", "-m cc-wt --ways 0", 2, Err,
+     "separation: load: --ways must be >= 1, got 0");
+    ("load", "--waiters=-1", 2, Err,
+     "separation: load: --waiters must be >= 0, got -1");
+    ("load", "--crash-prob 2.0", 2, Err,
+     "separation: load: --crash-prob must be in [0, 1], got 2");
+    ("load", "--leave-prob 1.5", 2, Err,
+     "separation: load: --leave-prob must be in [0, 1], got 1.5");
+    ("load", "--leave-prob=-1", 2, Err,
+     "separation: load: --leave-prob must be in [0, 1], got -1");
+    ("load", "--signal-every=-4", 2, Err,
+     "separation: load: --signal-every must be >= 0, got -4");
+    ("load", "--arrivals poisson:-1", 124, Err,
+     "bad arrival spec \"poisson:-1\": Poisson mean");
+    ("load", "--arrivals uniform:-3", 124, Err,
+     "bad arrival spec \"uniform:-3\": uniform gap");
+    ("load", "--arrivals bursty:0,1", 124, Err,
+     "bad arrival spec \"bursty:0,1\": burst must be");
+    ("load", "-k 10 --perf-out missing-dir/perf.json", 2, Err,
+     "separation: load: --perf-out: missing-dir/perf.json");
+    (* Accepted now: the single-waiter algorithm has no waiter at k = 0. *)
+    ("load", "-a dsm-single -k 0", 0, Err, "load: dsm-single/dsm k=0") ]
+
+let profile_cases =
+  [ ("profile", "--top=-1", 2, Err,
+     "separation: profile: --top must be >= 0, got -1");
+    ("profile", "--chrome-cap=-5", 2, Err,
+     "separation: profile: --chrome-cap must be >= 0, got -5");
+    ("profile", "--polls 0", 2, Err,
+     "separation: profile: --polls must be >= 1, got 0");
+    ("profile", "-m cc-wt --ways 0", 2, Err,
+     "separation: profile: --ways must be >= 1, got 0");
+    ("profile", "--arrivals bursty:0,1", 124, Err,
+     "bad arrival spec \"bursty:0,1\": burst must be");
+    ("profile", "-k 10 --chrome-out missing-dir/trace.json", 2, Err,
+     "separation: profile: --chrome-out: missing-dir/trace.json") ]
+
+(* A signaling entry needs a signaler and a waiter; below that the lint
+   once exited with only "List.init" or "index out of bounds". *)
+let lint_cases =
+  [ ("lint", "-n 0", 2, Err, "separation: lint: -n must be >= 2, got 0");
+    ("lint", "-n 1", 2, Err, "separation: lint: -n must be >= 2, got 1") ]
+
+let tables_cases =
+  [ ("tables", "e99", 2, Err, "separation: unknown experiment \"e99\"");
+    (* `tables` has no alias. *)
+    ("experiments", "e1", 124, Err, "unknown command 'experiments'") ]
+
 (* A refused input names its problem on stderr and prints nothing on
    stdout. *)
 let check_cases cases =
@@ -130,9 +201,20 @@ let test_explore_inputs () =
 let test_adversary_inputs () = check_cases adversary_cases
 
 let test_fuzz_inputs () = check_cases fuzz_cases
+let test_run_inputs () = check_cases run_cases
+let test_load_inputs () = check_cases load_cases
+let test_profile_inputs () = check_cases profile_cases
+let test_lint_inputs () = check_cases lint_cases
+let test_tables_inputs () = check_cases tables_cases
 
 let suite =
   [ case "explore: invalid inputs exit with a message" test_explore_inputs;
     case "adversary and trace --adversary: invalid inputs exit with a message"
       test_adversary_inputs;
-    case "fuzz: invalid inputs exit with a message" test_fuzz_inputs ]
+    case "fuzz: invalid inputs exit with a message" test_fuzz_inputs;
+    case "run: invalid inputs exit with a message" test_run_inputs;
+    case "load: invalid inputs exit with a message" test_load_inputs;
+    case "profile: invalid inputs exit with a message" test_profile_inputs;
+    case "lint: invalid inputs exit with a message" test_lint_inputs;
+    case "tables: unknown ids and commands exit with a message"
+      test_tables_inputs ]

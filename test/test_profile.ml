@@ -105,30 +105,32 @@ let test_profile_deterministic () =
 
 let test_profile_shows_separation () =
   (* cc-flag: the signaler's RMRs concentrate on one cell; the top hot
-     cell carries >= 99% of them.  dsm-broadcast: they smear across the
-     waiters' home cells, so no cell can hold 99% of the signaler's
-     spend.  This is the CI jq gate, from the library side. *)
+     cell carries >= 99% of them, and no other cell carries any RMR at
+     all.  dsm-broadcast: they smear across the waiters' home cells, so
+     no cell can hold 99% of the signaler's spend.  The first is CI's jq
+     gate on `separation profile`, from the library side. *)
   let share algorithm model =
     let sc = scenario ~algorithm ~model ~waiters:40 ~seed:1 in
     let r = Core.Profile.run sc in
+    let c = r.Core.Profile.p_counters in
     let sig_rmrs addr =
-      Obs.Counters.cell_count r.Core.Profile.p_counters
-        ~group:Core.Profile.signaler_group ~addr Obs.Counters.Rmr
+      Obs.Counters.cell_count c ~group:Core.Profile.signaler_group ~addr
+        Obs.Counters.Rmr
     in
-    let total =
-      Obs.Counters.pid_count r.Core.Profile.p_counters ~pid:0 Obs.Counters.Rmr
-    in
-    let best = ref 0 in
-    for a = 0 to Obs.Counters.size r.Core.Profile.p_counters - 1 do
-      if sig_rmrs a > !best then best := sig_rmrs a
+    let total = Obs.Counters.pid_count c ~pid:0 Obs.Counters.Rmr in
+    let best = ref 0 and hot = ref 0 in
+    for a = 0 to Obs.Counters.size c - 1 do
+      if sig_rmrs a > !best then best := sig_rmrs a;
+      if Obs.Counters.cell_total c ~addr:a Obs.Counters.Rmr > 0 then incr hot
     done;
-    (!best, total)
+    (!best, total, !hot)
   in
-  let best_cc, total_cc = share "cc-flag" `Cc_wt in
+  let best_cc, total_cc, hot_cc = share "cc-flag" `Cc_wt in
   check_true "cc-flag signaler spend is nonzero" (total_cc > 0);
   check_true "cc-flag: one cell holds >= 99% of signaler RMRs"
     (100 * best_cc >= 99 * total_cc);
-  let best_dsm, total_dsm = share "dsm-broadcast" `Dsm in
+  check_int "cc-flag: exactly one cell carries any RMR" 1 hot_cc;
+  let best_dsm, total_dsm, _ = share "dsm-broadcast" `Dsm in
   check_true "dsm-broadcast signaler spend is nonzero" (total_dsm > 0);
   check_true "dsm-broadcast: the signaler's spend smears across cells"
     (100 * best_dsm < 50 * total_dsm)
