@@ -4,12 +4,15 @@
 open Cmdliner
 
 let model_conv =
-  let parse = function
-    | "dsm" -> Ok `Dsm
-    | "cc-wt" -> Ok `Cc_wt
-    | "cc-wb" -> Ok `Cc_wb
-    | "cc-lfcu" -> Ok `Cc_lfcu
-    | s -> Error (`Msg (Printf.sprintf "unknown model %S (dsm|cc-wt|cc-wb|cc-lfcu)" s))
+  let name m = Core.Scenario.model_tag_name (m :> Core.Scenario.model_tag) in
+  let parse s =
+    match List.find_opt (fun m -> name m = s) Core.Scenario.named_models with
+    | Some m -> Ok (m :> Core.Scenario.model_tag)
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown model %S (%s)" s
+             (String.concat "|" (List.map name Core.Scenario.named_models))))
   in
   let print ppf m = Fmt.string ppf (Core.Scenario.model_tag_name m) in
   Arg.conv (parse, print)

@@ -1,136 +1,48 @@
 (* The cache-state abstract domain behind the amortized lint.
 
-   One abstract cell mirrors what Smr.Cc tracks concretely: does the
-   analyzed process hold the line, and may it mutate in place?  The order
-   runs from most to least knowledge —
-
-     Owned <= Valid <= Invalid
-
-   — and join moves toward Invalid, so merging control-flow paths can only
-   forget cache contents, never invent them.  [Invalid] is the top element:
-   the all-Invalid state (the empty map) is the sound starting point of
+   An abstract state is the set of cells the analyzed process holds a
+   valid copy of.  Holding more cells is knowing more; join intersects, so
+   merging control-flow paths can only forget cache contents, never invent
+   them.  The empty set is the top element: the sound starting point of
    every fixpoint iteration.
 
-   Why the transfer functions look the way they do is pinned by Smr.Cc's
-   concrete semantics (and by the wb failed-CAS counterexample PR 7's
-   fuzzer minimized, docs/MODEL.md):
+   The transfer function is [Smr.Cc.decide], the protocol table both
+   simulation engines obey, billed at its worst case: an access costs one
+   RMR iff some protocol in [Cc.protocols], under either outcome of the
+   operation (it wrote or it did not), makes it a remote reference.  A
+   bound proved here therefore holds under every protocol, which is what
+   the claim vocabulary promises.  Write-back ownership is never claimed
+   ([~owned:false]): under write-back even a failed comparison by another
+   process takes the line away (the counterexample in docs/MODEL.md), and
+   the analysis does not model other processes.  So reads bill iff the
+   cell is not held, and every mutation bills.
 
-   - Under every protocol, any access by the process — read, write, or a
-     comparison that fails — leaves it holding a valid copy ([Cc.account]
-     ends every branch in [add_copy]).  So a transfer's post-state is at
-     most [Valid].
-   - A copy is lost only to another process's non-read-only operation:
-     under wt and wb a remote mutation invalidates, and under wb even a
-     {e failed} comparison acquires exclusive ownership and kills remote
-     copies.  That is why [ext] classifies interference by
-     [Op.is_read_only] alone — treating failed comparisons as invalidating
-     — and why [Wb]'s [Owned] survives only on cells no other process
-     touches at all.
-   - The [Any] regime is the pointwise maximum cost over wt, wb and update
-     with the pointwise minimum knowledge: reads bill iff the cell is
-     Invalid (true in all three), mutations always bill (wt's rule; wb and
-     update can only be cheaper), and [Owned] is never claimed.  A bound
-     proved under [Any] therefore holds under every protocol, which is
-     what the claim vocabulary promises.
+   Whatever [decide] answers, the access leaves the process holding the
+   cell.  A copy is lost only to another process's non-read-only
+   operation, which {!Amortized} charges as a refill.
 
    The model is the ideal (unbounded) cache of the paper's Section 8;
    capacity eviction (E12) is out of scope and documented as a caveat. *)
 
 open Smr
+module Cells = Set.Make (Int)
 
-type avail = Owned | Valid | Invalid
+type state = Cells.t
 
-let rank = function Owned -> 0 | Valid -> 1 | Invalid -> 2
+let top = Cells.empty
+let join = Cells.inter
+let equal = Cells.equal
+let leq st1 st2 = Cells.subset st2 st1
 
-let avail_leq a b = rank a <= rank b
+let billed inv ~has_copy =
+  List.exists
+    (fun protocol ->
+      List.exists
+        (fun wrote ->
+          Cc.is_rmr (Cc.decide protocol inv ~wrote ~has_copy ~owned:false))
+        [ false; true ])
+    Cc.protocols
 
-let join_avail a b = if rank a >= rank b then a else b
-
-let avail_name = function
-  | Owned -> "owned"
-  | Valid -> "valid"
-  | Invalid -> "invalid"
-
-(* How other processes may touch a cell, from this process's viewpoint. *)
-type ext = Ext_none | Ext_read | Ext_mut
-
-type regime = Wt | Wb | Update | Any
-
-let regime_name = function
-  | Wt -> "wt"
-  | Wb -> "wb"
-  | Update -> "update"
-  | Any -> "any"
-
-module Addr_map = Map.Make (Int)
-
-(* Per-cell availability; absent cells are Invalid, so the empty map is the
-   all-Invalid top state and states stay canonical by never storing
-   Invalid. *)
-type state = avail Addr_map.t
-
-let top : state = Addr_map.empty
-
-let get st a =
-  match Addr_map.find_opt a st with Some v -> v | None -> Invalid
-
-let set st a v = if v = Invalid then Addr_map.remove a st else Addr_map.add a v st
-
-let join st1 st2 =
-  Addr_map.merge
-    (fun _ v1 v2 ->
-      match (v1, v2) with
-      | Some v1, Some v2 ->
-        let j = join_avail v1 v2 in
-        if j = Invalid then None else Some j
-      | Some _, None | None, Some _ ->
-        None (* absent = Invalid, and join with Invalid is Invalid *)
-      | None, None -> None)
-    st1 st2
-
-let equal = Addr_map.equal (fun a b -> rank a = rank b)
-
-let leq st1 st2 =
-  (* st1 <= st2 pointwise.  Absent cells are Invalid (top), so only cells
-     st2 actually constrains can fail the comparison. *)
-  Addr_map.for_all (fun a v2 -> avail_leq (get st1 a) v2) st2
-
-let cells st = List.map fst (Addr_map.bindings st)
-
-(* One access by the analyzed process: RMRs billed and the cell's new
-   availability.  [ext] is the interference class of the accessed cell. *)
-let transfer regime ~ext st inv =
+let transfer st inv =
   let a = Op.addr_of inv in
-  let v = get st a in
-  if Op.is_read_only inv then
-    (* Identical in all four regimes: a read bills iff no valid copy, and
-       ends with (at least) a shared copy.  A read never grants ownership
-       (under wb a read miss even demotes a remote owner). *)
-    let cost = if v = Invalid then 1 else 0 in
-    let v' = if v = Invalid then Valid else v in
-    (cost, set st a v')
-  else
-    match regime with
-    | Wt | Any | Update ->
-      (* wt: every mutating primitive reaches memory (a failed comparison
-         still performs the round trip).  update bills writes remotely too;
-         its failed-cached-comparison discount is outcome-dependent and so
-         not statically claimable.  Any takes wt's cost as the sound
-         maximum over all protocols.  All three end holding a copy, never
-         ownership. *)
-      (1, set st a Valid)
-    | Wb ->
-      (* wb: the exclusive owner mutates in cache; anyone else pays the
-         acquisition (failed comparisons included — the PR 7
-         counterexample).  Ownership is claimable only while no other
-         process touches the cell at all: an external read demotes the
-         owner to shared, an external mutation invalidates. *)
-      let cost = if v = Owned then 0 else 1 in
-      let v' = match ext a with Ext_none -> Owned | Ext_read | Ext_mut -> Valid in
-      (cost, set st a v')
-
-let pp ppf st =
-  Fmt.pf ppf "{%a}"
-    Fmt.(
-      list ~sep:comma (fun ppf (a, v) -> Fmt.pf ppf "%d:%s" a (avail_name v)))
-    (Addr_map.bindings st)
+  ((if billed inv ~has_copy:(Cells.mem a st) then 1 else 0), Cells.add a st)

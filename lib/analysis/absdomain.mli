@@ -1,57 +1,29 @@
-(** The per-cell cache-state lattice the amortized lint interprets over.
+(** The cache-state lattice the amortized lint interprets over.
 
-    Mirrors {!Smr.Cc}'s write-through / write-back / write-update regimes
-    abstractly: a cell is [Owned] (exclusively held, mutable in cache),
-    [Valid] (a shared copy) or [Invalid] (no copy), ordered
-    [Owned <= Valid <= Invalid] with join toward [Invalid] — merging paths
-    can only forget cache contents.  The [Any] regime is the sound
-    upper bound over all three protocols and is what {!Amortized} proves
-    claims under; [Wb]'s tighter ownership rule survives only on cells no
-    other process touches, because under write-back even a {e failed}
-    comparison by another process acquires exclusive ownership (the PR 7
-    counterexample in docs/MODEL.md).  The model is the ideal unbounded
-    cache of Section 8; capacity eviction (E12) is out of scope. *)
+    A state is the set of cells the analyzed process holds a valid copy
+    of, ordered by reverse inclusion: holding more is knowing more, and
+    join intersects, so merging paths can only forget cache contents.
+    {!transfer} bills the worst case of {!Smr.Cc.decide} over every
+    protocol and both outcomes of the operation, never claiming
+    write-back ownership, so a bound it proves holds under every
+    protocol.  The model is the ideal unbounded cache of Section 8;
+    capacity eviction (E12) is out of scope. *)
 
 open Smr
 
-type avail = Owned | Valid | Invalid
-
-val rank : avail -> int
-(** [Owned] 0, [Valid] 1, [Invalid] 2 — the lattice order. *)
-
-val avail_leq : avail -> avail -> bool
-val join_avail : avail -> avail -> avail
-val avail_name : avail -> string
-
-(** How other processes may touch a cell: not at all, reads only, or some
-    non-read-only operation (failed comparisons included — they invalidate
-    under write-back). *)
-type ext = Ext_none | Ext_read | Ext_mut
-
-type regime = Wt | Wb | Update | Any
-
-val regime_name : regime -> string
-
 type state
-(** Per-cell availability; cells not mentioned are [Invalid]. *)
 
 val top : state
-(** The all-[Invalid] state — the sound start of every fixpoint. *)
-
-val get : state -> Op.addr -> avail
-val set : state -> Op.addr -> avail -> state
+(** Nothing held — the sound start of every fixpoint. *)
 
 val join : state -> state -> state
 val equal : state -> state -> bool
+
 val leq : state -> state -> bool
+(** [leq s1 s2]: [s1] holds every cell [s2] holds. *)
 
-val cells : state -> Op.addr list
-(** Cells held ([Owned] or [Valid]), in address order. *)
-
-val transfer :
-  regime -> ext:(Op.addr -> ext) -> state -> Op.invocation -> int * state
-(** One access by the analyzed process: (RMRs billed, post-state).
-    Monotone in the state argument for every regime — the lattice-law
-    tests in test_lint.ml check this over the full enumeration. *)
-
-val pp : state Fmt.t
+val transfer : state -> Op.invocation -> int * state
+(** One access by the analyzed process: (RMRs billed, post-state).  The
+    post-state holds the accessed cell.  Monotone in the state argument —
+    the lattice-law test in test_lint.ml checks this over the full
+    enumeration. *)

@@ -1,16 +1,17 @@
 (* The amortized-bound pass: interpret a call's CFG over the cache lattice
    and prove a [Claims.amortized] bound.
 
-   The potential function is Phi(state) = number of Invalid cells in the
-   call's read footprint.  One interpreted call from state S costs at most
-   its worst path cost; external interference raises Phi by at most the
-   number of footprint cells the interferer can invalidate ([refills]).
+   The potential function is Phi(state) = number of cells in the call's
+   read footprint the process does not hold.  One interpreted call from
+   state S costs at most its worst path cost; external interference raises
+   Phi by at most the number of footprint cells the interferer can
+   invalidate ([refills]).
    Over any execution with N calls and S interfering external calls the
    telescoped total is
 
        total RMRs  <=  cold + N * steady + S * refills
 
-   where [cold] pays Phi down from the all-Invalid start (the c0 of the
+   where [cold] pays Phi down from the nothing-held start (the c0 of the
    claim) and [steady] is the per-call cost once the inter-call cache state
    has reached its fixpoint.
 
@@ -19,17 +20,17 @@
    - {!Cfg.extract} produces a {e tree} (each node has one incoming path),
      so a path-sensitive walk that records every node's in-state is linear
      and the worst path is a max-fold, exactly as {!Checks.worst_rmrs}.
-   - {!Absdomain.transfer} only moves cells downward (toward Valid), so
-     the inter-call exit state forms a descending chain in a finite
-     lattice: iterating whole-call interpretation from all-Invalid
-     converges, in at most one step per footprint cell.
+   - {!Absdomain.transfer} only adds cells to the held set, so the
+     inter-call exit state forms a descending chain in a finite lattice:
+     iterating whole-call interpretation from nothing held converges, in
+     at most one step per footprint cell.
 
    A cycle is billed by its residual: re-run the body from its own
    post-first-pass state; any cost still incurred recurs on every further
    iteration, and the spin count is not statically bounded, so a nonzero
-   residual makes the call's bound [Unbounded].  Under the [Any] regime
-   that happens exactly when a cycle contains a non-read-only operation —
-   sound spin loops must be read-only on cached cells. *)
+   residual makes the call's bound [Unbounded].  Since every mutation
+   bills, that happens exactly when a cycle contains a non-read-only
+   operation — sound spin loops must be read-only on cached cells. *)
 
 open Smr
 
@@ -40,7 +41,7 @@ type result = {
   footprint : Op.addr list;
 }
 
-let interpret ~regime ~ext st0 (cfg : Cfg.t) =
+let interpret st0 (cfg : Cfg.t) =
   let in_state = Array.make (max 1 (Array.length cfg.Cfg.nodes)) Absdomain.top in
   let exit_state = ref None in
   let note_exit st =
@@ -59,7 +60,7 @@ let interpret ~regime ~ext st0 (cfg : Cfg.t) =
     | Cfg.Jump id ->
       let node = cfg.Cfg.nodes.(id) in
       in_state.(id) <- st;
-      let cost, st' = Absdomain.transfer regime ~ext st node.Cfg.inv in
+      let cost, st' = Absdomain.transfer st node.Cfg.inv in
       cost
       + List.fold_left
           (fun acc e -> max acc (walk st' e.Cfg.target))
@@ -70,16 +71,16 @@ let interpret ~regime ~ext st0 (cfg : Cfg.t) =
     let pass st =
       List.fold_left
         (fun (cost, st) inv ->
-          let c, st' = Absdomain.transfer regime ~ext st inv in
+          let c, st' = Absdomain.transfer st inv in
           (cost + c, st'))
         (0, st)
     in
     List.fold_left
       (fun acc (c : Cfg.cycle) ->
         (* One body pass from the cycle entry's recorded in-state reaches
-           the loop's own fixpoint (transfers only move cells downward and
-           the second pass revisits the same cells); the second pass's cost
-           is what every further spin iteration pays. *)
+           the loop's own fixpoint (transfers only add cells and the second
+           pass revisits the same cells); the second pass's cost is what
+           every further spin iteration pays. *)
         let _, st1 = pass in_state.(c.Cfg.entry) c.Cfg.body in
         let cost, _ = pass st1 c.Cfg.body in
         max acc cost)
@@ -98,17 +99,15 @@ let read_addrs cfg =
   |> List.sort_uniq compare
 
 (* Fixpoint iterations are bounded by the footprint size in theory; the
-   cap is a safety net against a non-monotone regime slipping in. *)
+   cap is a safety net against a non-monotone transfer slipping in. *)
 let max_iters = 64
 
 let analyze ~ext_mut cfg =
-  let regime = Absdomain.Any in
-  let ext a = if ext_mut a then Absdomain.Ext_mut else Absdomain.Ext_none in
-  let cold, s1 = interpret ~regime ~ext Absdomain.top cfg in
+  let cold, s1 = interpret Absdomain.top cfg in
   let rec fix st cost iters =
     if iters <= 0 then cost
     else
-      let cost', st' = interpret ~regime ~ext st cfg in
+      let cost', st' = interpret st cfg in
       if Absdomain.equal st' st then cost' else fix st' cost' (iters - 1)
   in
   let steady = fix s1 cold max_iters in

@@ -27,15 +27,11 @@ let scenario ?(ways = 8) ?(ll_ways = 4) ~algorithm ~model spec =
     sc_spec = spec }
 
 (* The flat engine's model spec for an experiment model tag. *)
-let flat_model ~ways : Scenario.model_tag -> Flat_sim.model_spec = function
-  | `Dsm -> Flat_sim.Dsm
-  | `Cc_wt ->
-    Flat_sim.Cc { protocol = Cc.Write_through; interconnect = Cc.Bus; ways }
-  | `Cc_wb ->
-    Flat_sim.Cc { protocol = Cc.Write_back; interconnect = Cc.Bus; ways }
-  | `Cc_lfcu ->
-    Flat_sim.Cc { protocol = Cc.Write_update; interconnect = Cc.Bus; ways }
-  | `Cc (protocol, interconnect) -> Flat_sim.Cc { protocol; interconnect; ways }
+let flat_model ~ways tag : Flat_sim.model_spec =
+  match Scenario.cc_of_tag tag with
+  | None -> Flat_sim.Dsm
+  | Some (protocol, interconnect) ->
+    Flat_sim.Cc { protocol; interconnect; ways }
 
 (* Instantiate the scenario's algorithm and freeze its memory layout —
    everything a driver run needs besides the optional observability hooks.

@@ -28,30 +28,32 @@ let build (module A : Signaling.POLLING) cfg =
   (inst, Var.Ctx.freeze ctx)
 
 (* The model labels the experiments sweep over. *)
-type model_tag =
-  [ `Dsm
-  | `Cc_wt
-  | `Cc_wb
-  | `Cc_lfcu
-  | `Cc of Cc.protocol * Cc.interconnect ]
+type named_model = [ `Dsm | `Cc_wt | `Cc_wb | `Cc_lfcu ]
+
+type model_tag = [ named_model | `Cc of Cc.protocol * Cc.interconnect ]
+
+let named_models : named_model list = [ `Dsm; `Cc_wt; `Cc_wb; `Cc_lfcu ]
+
+(* The one table of model tags: the protocol and interconnect a CC tag
+   stands for, [None] for DSM. *)
+let cc_of_tag : model_tag -> (Cc.protocol * Cc.interconnect) option = function
+  | `Dsm -> None
+  | `Cc_wt -> Some (Cc.Write_through, Cc.Bus)
+  | `Cc_wb -> Some (Cc.Write_back, Cc.Bus)
+  | `Cc_lfcu -> Some (Cc.Write_update, Cc.Bus)
+  | `Cc (p, i) -> Some (p, i)
 
 let model_tag_name : model_tag -> string = function
-  | `Dsm -> "dsm"
-  | `Cc_wt -> "cc-wt"
-  | `Cc_wb -> "cc-wb"
-  | `Cc_lfcu -> "cc-lfcu"
   | `Cc (p, i) ->
     Printf.sprintf "%s/%s" (Cc.protocol_name p) (Cc.interconnect_name i)
+  | #named_model as tag -> (
+    match cc_of_tag tag with Some (p, _) -> Cc.protocol_name p | None -> "dsm")
 
-let make_model ?tracer ~n layout : model_tag -> Cost_model.t = function
-  | `Dsm -> Cost_model.dsm layout
-  | `Cc_wt ->
-    Cc.model ?tracer ~protocol:Cc.Write_through ~interconnect:Cc.Bus ~n ()
-  | `Cc_wb ->
-    Cc.model ?tracer ~protocol:Cc.Write_back ~interconnect:Cc.Bus ~n ()
-  | `Cc_lfcu ->
-    Cc.model ?tracer ~protocol:Cc.Write_update ~interconnect:Cc.Bus ~n ()
-  | `Cc (protocol, interconnect) -> Cc.model ?tracer ~protocol ~interconnect ~n ()
+let make_model ?tracer ~n layout tag =
+  match cc_of_tag tag with
+  | None -> Cost_model.dsm layout
+  | Some (protocol, interconnect) ->
+    Cc.model ?tracer ~protocol ~interconnect ~n ()
 
 let summarize cfg sim ~unfinished =
   let calls = Sim.calls sim in

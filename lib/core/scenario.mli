@@ -19,13 +19,22 @@ type outcome = {
   unfinished_waiters : int;  (** waiters that never saw the signal *)
 }
 
-(** Cost-model selectors the experiments sweep over. *)
-type model_tag =
+(** The models the CLI names. *)
+type named_model =
   [ `Dsm
   | `Cc_wt  (** write-through invalidate over a bus *)
   | `Cc_wb  (** write-back over a bus *)
-  | `Cc_lfcu  (** write-update (LFCU) over a bus *)
-  | `Cc of Cc.protocol * Cc.interconnect ]
+  | `Cc_lfcu  (** write-update (LFCU) over a bus *) ]
+
+(** Cost-model selectors the experiments sweep over. *)
+type model_tag = [ named_model | `Cc of Cc.protocol * Cc.interconnect ]
+
+val named_models : named_model list
+(** [dsm], [cc-wt], [cc-wb], [cc-lfcu], in that order. *)
+
+val cc_of_tag : model_tag -> (Cc.protocol * Cc.interconnect) option
+(** The protocol and interconnect a CC tag stands for; [None] for DSM.
+    Every engine builds its model from this one table. *)
 
 val model_tag_name : model_tag -> string
 

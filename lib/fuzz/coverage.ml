@@ -57,11 +57,7 @@ let signature (case : Case.t) =
   let flat =
     Flat_sim.create ~counters
       ~ll_ways:(max 4 size)
-      ~model:
-        (Flat_sim.Cc
-           { protocol = Cc.Write_through;
-             interconnect = Cc.Bus;
-             ways = max 1 size })
+      ~model:(Core.Loadgen.flat_model ~ways:(max 1 size) `Cc_wt)
       ~layout:rn.Case.r_layout ~n:rn.Case.r_n ()
   in
   let queues = Array.copy rn.Case.r_calls in

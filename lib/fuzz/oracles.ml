@@ -78,9 +78,9 @@ let weight = function
 
 (* {1 Cost models} *)
 
-type tag = [ `Dsm | `Cc_wt | `Cc_wb | `Cc_lfcu ]
+type tag = Core.Scenario.named_model
 
-let tags : tag list = [ `Dsm; `Cc_wt; `Cc_wb; `Cc_lfcu ]
+let tags = Core.Scenario.named_models
 
 let tag_name (t : tag) =
   Core.Scenario.model_tag_name (t :> Core.Scenario.model_tag)
@@ -90,16 +90,10 @@ let tag_for_index i = List.nth tags (((i mod 4) + 4) mod 4)
 let sim_cost ~n layout (t : tag) =
   Core.Scenario.make_model ~n layout (t :> Core.Scenario.model_tag)
 
-let flat_spec layout : tag -> Flat_sim.model_spec =
-  let ways = max 1 (Var.layout_size layout) in
-  function
-  | `Dsm -> Flat_sim.Dsm
-  | `Cc_wt ->
-    Flat_sim.Cc { protocol = Cc.Write_through; interconnect = Cc.Bus; ways }
-  | `Cc_wb ->
-    Flat_sim.Cc { protocol = Cc.Write_back; interconnect = Cc.Bus; ways }
-  | `Cc_lfcu ->
-    Flat_sim.Cc { protocol = Cc.Write_update; interconnect = Cc.Bus; ways }
+let flat_spec layout (t : tag) =
+  Core.Loadgen.flat_model
+    ~ways:(max 1 (Var.layout_size layout))
+    (t :> Core.Scenario.model_tag)
 
 (* {1 Drivers}
 
@@ -554,7 +548,7 @@ let amortized_vs_measured (case : Case.t) =
                       cold r.Workload.Driver.r_signals steady
                       r.Workload.Driver.r_polls refills bound
                 end)
-              [ Cc.Write_through; Cc.Write_back; Cc.Write_update ];
+              Cc.protocols;
             if !problems <> [] then
               Disagree (String.concat "; " (List.sort_uniq compare !problems))
             else if !checks = 0 then Skip

@@ -23,12 +23,44 @@ let protocol_name = function
   | Write_back -> "cc-wb"
   | Write_update -> "cc-lfcu"
 
+let protocols = [ Write_through; Write_back; Write_update ]
+
 type interconnect = Bus | Directory_precise | Directory_limited of int
 
 let interconnect_name = function
   | Bus -> "bus"
   | Directory_precise -> "dir"
   | Directory_limited k -> Printf.sprintf "dir%d" k
+
+(* The protocol table: what the coherence protocol does with one access,
+   given what the accessing process's cache holds.  This is the only
+   place a protocol is decided; [account] below and [Flat_sim] apply the
+   answer to their own stores, and the amortized lint bills its worst
+   case.  The answer is a constant constructor, so deciding allocates
+   nothing. *)
+type access =
+  | Hit
+  | Hit_in_place
+  | Miss
+  | Round_trip
+  | Invalidate
+  | Take_ownership
+  | Update
+
+let decide protocol inv ~wrote ~has_copy ~owned =
+  if Op.is_read_only inv then if has_copy then Hit else Miss
+  else
+    match protocol with
+    | Write_through -> if wrote then Invalidate else Round_trip
+    | Write_back -> if owned then Hit else Take_ownership
+    | Write_update ->
+      if wrote || not (Op.is_comparison inv) then Update
+      else if has_copy then Hit_in_place
+      else Miss
+
+let is_rmr = function
+  | Hit | Hit_in_place -> false
+  | Miss | Round_trip | Invalidate | Take_ownership | Update -> true
 
 module Addr_map = Map.Make (Int)
 module Pid_map = Map.Make (Int)
@@ -77,7 +109,10 @@ let remote_holders st pid a =
     (fun q acc -> if q <> pid then q :: acc else acc)
     (holders st a) []
 
-let owner_of st a = Addr_map.find_opt a st.owner
+(* Whether [pid] is [a]'s exclusive owner.  Two lookups rather than
+   [Addr_map.find_opt a st.owner = Some pid], which allocates on every
+   access. *)
+let owns st pid a = Addr_map.mem a st.owner && Addr_map.find a st.owner = pid
 
 let record_copy copies pid a =
   let hs =
@@ -98,7 +133,7 @@ let unrecord_copy copies pid a =
    is hit.  An evicted dirty (owned) line loses its ownership — the
    writeback itself is charged when the line is next accessed remotely.
    A hit on an unbounded cache returns the state physically unchanged, so
-   spin reads allocate nothing. *)
+   spin reads allocate no new state. *)
 let add_copy st pid a =
   match st.capacity with
   | None ->
@@ -187,27 +222,27 @@ let emit_cache t pid a ~action ~copies ~messages =
            protocol = protocol_name t.protocol;
            interconnect = interconnect_name t.interconnect })
 
-let read_like t pid a =
-  if has_copy t.st pid a then
-    (* A hit still refreshes the line's recency (true LRU); when the line
-       is already most-recently-used the state is returned physically
-       unchanged, so spin reads cost no allocation at all. *)
-    let st = add_copy t.st pid a in
-    ((if st == t.st then t else { t with st }), Cost_model.local)
-  else
-    let dirty_elsewhere =
-      match owner_of t.st a with Some q -> q <> pid | None -> false
-    in
-    let messages = miss_messages ~dirty_elsewhere in
-    emit_cache t pid a ~action:"fetch"
-      ~copies:(if dirty_elsewhere then 1 else 0)
-      ~messages;
-    (* The previous owner's line is downgraded to shared on a read miss. *)
-    let st = { (add_copy t.st pid a) with owner = Addr_map.remove a t.st.owner } in
-    ({ t with st }, { Cost_model.rmr = true; messages })
+(* A hit refreshes the line's recency (true LRU); when the line is already
+   most-recently-used the model is returned physically unchanged. *)
+let hit t pid a =
+  let st = add_copy t.st pid a in
+  ((if st == t.st then t else { t with st }), Cost_model.local)
+
+let miss t pid a =
+  let dirty_elsewhere = Addr_map.mem a t.st.owner && not (owns t.st pid a) in
+  let messages = miss_messages ~dirty_elsewhere in
+  emit_cache t pid a ~action:"fetch"
+    ~copies:(if dirty_elsewhere then 1 else 0)
+    ~messages;
+  (* The previous owner's line is downgraded to shared.  The owner map is
+     [add_copy]'s, which has already dropped the ownership of any line the
+     fill evicted. *)
+  let st = add_copy t.st pid a in
+  ( { t with st = { st with owner = Addr_map.remove a st.owner } },
+    { Cost_model.rmr = true; messages } )
 
 (* A write-like access that must reach memory and kill/update remote copies. *)
-let write_like ~invalidate t pid a =
+let write ~invalidate ~own t pid a =
   let remote = remote_holders t.st pid a in
   let m = List.length remote in
   let base = 1 (* the memory / directory transaction itself *) in
@@ -221,60 +256,37 @@ let write_like ~invalidate t pid a =
     else t.st (* write-update: remote copies stay valid, refreshed *)
   in
   let st = add_copy st pid a in
-  let st =
-    { st with
-      owner =
-        (match t.protocol with
-        | Write_back -> Addr_map.add a pid st.owner
-        | Write_through | Write_update -> Addr_map.remove a st.owner) }
+  let owner =
+    if own then Addr_map.add a pid st.owner else Addr_map.remove a st.owner
   in
-  ({ t with st }, { Cost_model.rmr = true; messages })
+  ({ t with st = { st with owner } }, { Cost_model.rmr = true; messages })
 
 let account t pid inv ~wrote =
   let a = Op.addr_of inv in
-  match t.protocol with
-  | Write_through ->
-    if Op.is_read_only inv then read_like t pid a
-    else
-      (* Every mutating primitive must reach memory; a failed comparison
-         still performs the global round trip but invalidates nothing. *)
-      if wrote then write_like ~invalidate:true t pid a
-      else (
-        emit_cache t pid a ~action:"roundtrip" ~copies:0 ~messages:1;
-        let t, _ = read_like t pid a in
-        (t, { Cost_model.rmr = true; messages = 1 }))
-  | Write_back ->
-    if Op.is_read_only inv then read_like t pid a
-    else if owner_of t.st a = Some pid then
-      (* Exclusive owner: the access completes in-cache (and refreshes
-         recency). *)
-      let st = add_copy t.st pid a in
-      ((if st == t.st then t else { t with st }), Cost_model.local)
-    else
-      (* Acquire exclusivity (even for a comparison that then fails: the
-         line must be owned for the atomic to be applied). *)
-      write_like ~invalidate:true t pid a
-  | Write_update ->
-    if Op.is_read_only inv then read_like t pid a
-    else if Op.is_comparison inv && not wrote then
-      (* The defining LFCU feature: a failed comparison primitive applied to
-         a locally cached copy completes locally. *)
-      if has_copy t.st pid a then (t, Cost_model.local) else read_like t pid a
-    else write_like ~invalidate:false t pid a
+  let has_copy = has_copy t.st pid a in
+  match decide t.protocol inv ~wrote ~has_copy ~owned:(owns t.st pid a) with
+  | Hit -> hit t pid a
+  | Hit_in_place -> (t, Cost_model.local)
+  | Miss -> miss t pid a
+  | Round_trip ->
+    (* A failed mutating primitive still performs the global round trip
+       (one message, billed before the refill's own traffic) but
+       invalidates nothing; its cache effect is that of a read. *)
+    emit_cache t pid a ~action:"roundtrip" ~copies:0 ~messages:1;
+    let t, _ = if has_copy then hit t pid a else miss t pid a in
+    (t, { Cost_model.rmr = true; messages = 1 })
+  | Invalidate -> write ~invalidate:true ~own:false t pid a
+  | Take_ownership -> write ~invalidate:true ~own:true t pid a
+  | Update -> write ~invalidate:false ~own:false t pid a
 
+(* [decide] with the outcome unknown: commit only when both outcomes agree
+   on locality. *)
 let predict t pid inv =
   let a = Op.addr_of inv in
-  match t.protocol with
-  | Write_through ->
-    if Op.is_read_only inv then Some (not (has_copy t.st pid a)) else Some true
-  | Write_back ->
-    if Op.is_read_only inv then Some (not (has_copy t.st pid a))
-    else Some (owner_of t.st a <> Some pid)
-  | Write_update ->
-    if Op.is_read_only inv then Some (not (has_copy t.st pid a))
-    else if Op.is_comparison inv then
-      if has_copy t.st pid a then None (* local iff it fails *) else Some true
-    else Some true
+  let has_copy = has_copy t.st pid a and owned = owns t.st pid a in
+  let rmr wrote = is_rmr (decide t.protocol inv ~wrote ~has_copy ~owned) in
+  let r = rmr true in
+  if r = rmr false then Some r else None
 
 let model ?tracer ?(protocol = Write_through) ?(interconnect = Bus) ?capacity
     ~n () =
@@ -286,8 +298,8 @@ let model ?tracer ?(protocol = Write_through) ?(interconnect = Bus) ?capacity
       | None -> "")
   in
   (* [make_stateful] shares the wrapper across steps that leave the cache
-     state physically unchanged, so the hits fast-pathed above (spin reads
-     of an MRU line, owned write-back writes, failed cached LFCU
-     comparisons) allocate nothing — the explorer's stepping hot path. *)
+     state physically unchanged, so the hits (spin reads of an MRU line,
+     owned write-back writes, failed cached LFCU comparisons) allocate no
+     new model — the explorer's stepping hot path. *)
   Cost_model.make_stateful ~name:full_name ~account ~predict
     { protocol; interconnect; n; st = empty capacity; tracer }

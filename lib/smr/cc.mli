@@ -19,9 +19,41 @@ type protocol = Write_through | Write_back | Write_update
 
 val protocol_name : protocol -> string
 
+val protocols : protocol list
+(** Every protocol, in declaration order. *)
+
 type interconnect = Bus | Directory_precise | Directory_limited of int
 
 val interconnect_name : interconnect -> string
+
+(** What the coherence protocol does with one access: the only protocol
+    table.  {!model}, {!Flat_sim} and the amortized lint all obey it, so a
+    new protocol is one constructor, one {!decide} case and one
+    {!protocols} entry. *)
+type access =
+  | Hit  (** local; the line's recency is refreshed *)
+  | Hit_in_place  (** local; the cache is untouched (LFCU) *)
+  | Miss  (** fetch the line, downgrading a dirty owner elsewhere *)
+  | Round_trip  (** a failed mutation's one-message round trip, then a refill *)
+  | Invalidate  (** write, invalidating every remote copy *)
+  | Take_ownership  (** as [Invalidate], and the writer owns the line *)
+  | Update  (** write, updating the remote copies in place *)
+
+val decide :
+  protocol -> Op.invocation -> wrote:bool -> has_copy:bool -> owned:bool ->
+  access
+(** [wrote]: the operation was nontrivial; [has_copy]: the process holds a
+    valid copy; [owned]: it owns the line (write-back).  Allocates
+    nothing. *)
+
+val is_rmr : access -> bool
+(** All but {!Hit} and {!Hit_in_place}. *)
+
+val coherence_messages : interconnect -> n:int -> m:int -> int
+(** Messages reaching [m] remote copies on an [n]-processor machine. *)
+
+val miss_messages : dirty_elsewhere:bool -> int
+(** A miss's fetch, plus a write-back from a dirty owner elsewhere. *)
 
 val model :
   ?tracer:Obs.Trace.t ->

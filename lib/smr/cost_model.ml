@@ -21,15 +21,13 @@ let name t = t.name
 let account t pid inv ~wrote = t.account pid inv ~wrote
 let predict t pid inv = t.predict pid inv
 
-let make ~name ~account ~predict = { name; account; predict }
-
 (* Wrap an explicit-state model.  The wrapper for a given state is built
    once and reused whenever accounting leaves the state physically
    unchanged — on allocation-sensitive paths (the explorer steps through
-   millions of cache hits) a no-op step then allocates nothing at all,
-   which a naive [make]-based knot cannot achieve: it must re-wrap every
-   successor.  State functions should therefore return their input state
-   physically ([==]) whenever a step changes nothing. *)
+   millions of cache hits) a no-op step then allocates no new model, only
+   its result pairs and lookups: 8 to 10 minor words per hit on an
+   unbounded [Cc] cache.  State functions should therefore return their
+   input state physically ([==]) whenever a step changes nothing. *)
 let make_stateful ~name ~account ~predict s0 =
   let rec wrap s =
     let rec self =

@@ -23,14 +23,6 @@ val predict : t -> Op.pid -> Op.invocation -> bool option
     classification does not depend on the operation's outcome (always the
     case in DSM), [None] when it does. *)
 
-val make :
-  name:string ->
-  account:(Op.pid -> Op.invocation -> wrote:bool -> t * step_cost) ->
-  predict:(Op.pid -> Op.invocation -> bool option) ->
-  t
-(** Build a model from its accounting function; the function returns the
-    successor model, making custom models persistent by construction. *)
-
 val make_stateful :
   name:string ->
   account:('s -> Op.pid -> Op.invocation -> wrote:bool -> 's * step_cost) ->
@@ -40,9 +32,12 @@ val make_stateful :
 (** Build a model from an explicit state and a state-transforming
     accounting function.  The wrapper is shared across steps that leave
     the state {e physically} unchanged, so a no-op step (e.g. a cache hit
-    that moves nothing) allocates nothing — the property the explorer's
-    stepping hot path relies on.  Accounting functions should return their
-    input state ([==]) whenever a step changes nothing. *)
+    that moves nothing) allocates no new model — the property the
+    explorer's stepping hot path relies on.  Such a step still allocates
+    its result pairs: a hit on an unbounded {!Cc} cache costs 8 to 10
+    minor words per {!account} (test_cost_models.ml pins it below 12).
+    Accounting functions should return their input state ([==]) whenever
+    a step changes nothing. *)
 
 val dsm : Var.layout -> t
 (** The DSM model: an access is an RMR iff the address lives in another

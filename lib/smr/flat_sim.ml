@@ -18,7 +18,9 @@
    the same timestamps and the same memory contents as [Sim] — for DSM
    always, and for CC whenever every process's live cache footprint fits in
    [ways] lines (the catalog algorithms touch O(1) cells per process, so a
-   small [ways] is exact; [ways] equal to the layout size is always exact).
+   small [ways] is exact; [ways] equal to the layout size is always exact),
+   or [Sim]'s [Cc] model has capacity [ways].  Both engines bill CC
+   through [Cc.decide]; only the stores differ.
 
    The cache-coherence bookkeeping avoids [Sim]'s per-process address maps
    with an epoch scheme:
@@ -102,9 +104,6 @@ type t = {
   cc_epoch : int array; (* per address *)
   sharers : int array; (* valid copies per address *)
   owner : int array; (* write-back exclusive owner per address; -1 = none *)
-  cc_n : int;
-  cc_bus : bool;
-  cc_dir_limit : int; (* -1 = precise directory; only read when not bus *)
   (* --- per-process call state --- *)
   state : Bytes.t;
   progs : Op.value Program.t array;
@@ -144,18 +143,12 @@ let create ?(on_complete = nop_complete) ?counters ?(on_cache = nop_cache)
        (pid, addr) this machine can issue. *)
     if Obs.Counters.n c < n || Obs.Counters.size c < size then
       invalid_arg "Flat_sim.create: counter planes smaller than the machine");
-  let ways, cc_n, cc_bus, cc_dir_limit =
+  let ways =
     match model with
-    | Dsm -> (0, 0, false, -1)
-    | Cc { ways; interconnect; _ } ->
+    | Dsm -> 0
+    | Cc { ways; _ } ->
       if ways <= 0 then invalid_arg "Flat_sim.create: ways must be positive";
-      let bus, limit =
-        match interconnect with
-        | Cc.Bus -> (true, -1)
-        | Cc.Directory_precise -> (false, -1)
-        | Cc.Directory_limited k -> (false, k)
-      in
-      (ways, n, bus, limit)
+      ways
   in
   { n;
     layout;
@@ -174,9 +167,6 @@ let create ?(on_complete = nop_complete) ?counters ?(on_cache = nop_cache)
     cc_epoch = Array.make (if ways = 0 then 0 else size) 0;
     sharers = Array.make (if ways = 0 then 0 else size) 0;
     owner = Array.make (if ways = 0 then 0 else size) (-1);
-    cc_n;
-    cc_bus;
-    cc_dir_limit;
     state = Bytes.make n st_idle;
     progs = Array.make n no_program;
     labels = Array.make n "";
@@ -259,8 +249,6 @@ let line_of t p a =
   done;
   !found
 
-let has_copy t p a = line_of t p a >= 0
-
 let touch_lru t p i =
   let u = t.use_clock.(p) + 1 in
   t.use_clock.(p) <- u;
@@ -304,47 +292,33 @@ let add_copy t p a =
     touch_lru t p i
   end
 
-(* Messages to reach [m] remote copies (Cc.coherence_messages). *)
-let coherence_messages t ~m =
-  if m = 0 then 0
-  else if t.cc_bus then 1
-  else if t.cc_dir_limit < 0 then m
-  else if m <= t.cc_dir_limit then m
-  else t.cc_n - 1
-
-(* A read-class access: hit refreshes recency and is local; miss fetches
-   (one transfer, plus a write-back if a dirty owner holds the line
-   elsewhere) and downgrades the owner.  Like every accounting function
-   below it returns the messages the access sent, a plain int, so billing
+(* The cache effects of [Cc.decide]'s answers.  Like [cc_account] below,
+   each returns the messages the access sent, a plain int, so billing
    allocates nothing: an access is an RMR exactly when that count is
    positive. *)
-let cc_read_like t p a =
-  let i = line_of t p a in
-  if i >= 0 then begin
-    touch_lru t p i;
-    0
-  end
-  else begin
-    let ow = t.owner.(a) in
-    let dirty_elsewhere = ow >= 0 && ow <> p in
-    let messages = 1 + if dirty_elsewhere then 1 else 0 in
-    t.owner.(a) <- -1;
-    add_copy t p a;
-    (match t.counters with
-    | None -> ()
-    | Some c ->
-      Obs.Counters.bump c ~pid:p ~addr:a ~pc:(Array.unsafe_get t.run_steps p)
-        Obs.Counters.Fetch;
-      Obs.Counters.bump_messages c ~pid:p ~addr:a messages);
-    t.on_cache ~t:t.clock ~pid:p ~addr:a ~action:"fetch" ~messages;
-    messages
-  end
 
-(* A write-class access that reaches memory and kills (or, for
-   write-update, leaves valid) the remote copies. *)
-let cc_write_like t ~invalidate ~own p a =
-  let m = t.sharers.(a) - if has_copy t p a then 1 else 0 in
-  let messages = 1 + coherence_messages t ~m in
+(* A miss: fetch the line (one transfer, plus a write-back if a dirty
+   owner holds it elsewhere) and downgrade the owner. *)
+let fetch t p a =
+  let ow = t.owner.(a) in
+  let messages = Cc.miss_messages ~dirty_elsewhere:(ow >= 0 && ow <> p) in
+  t.owner.(a) <- -1;
+  add_copy t p a;
+  (match t.counters with
+  | None -> ()
+  | Some c ->
+    Obs.Counters.bump c ~pid:p ~addr:a ~pc:(Array.unsafe_get t.run_steps p)
+      Obs.Counters.Fetch;
+    Obs.Counters.bump_messages c ~pid:p ~addr:a messages);
+  t.on_cache ~t:t.clock ~pid:p ~addr:a ~action:"fetch" ~messages;
+  messages
+
+(* A write that reaches memory and kills (or, for write-update, leaves
+   valid) the remote copies; [held] is whether [p]'s own copy counts
+   among the sharers. *)
+let write t interconnect ~invalidate ~own ~held p a =
+  let m = t.sharers.(a) - if held then 1 else 0 in
+  let messages = 1 + Cc.coherence_messages interconnect ~n:t.n ~m in
   if invalidate then begin
     (* One epoch bump invalidates every copy, the writer's own included;
        the writer re-validates through [add_copy] below. *)
@@ -364,44 +338,30 @@ let cc_write_like t ~invalidate ~own p a =
     ~messages;
   messages
 
-let cc_account t p inv ~wrote =
+let cc_account t protocol interconnect p inv ~wrote =
   let a = Op.addr_of inv in
-  match t.spec with
-  | Dsm -> assert false
-  | Cc { protocol; _ } ->
-    (match protocol with
-    | Cc.Write_through ->
-      if Op.is_read_only inv then cc_read_like t p a
-      else if wrote then cc_write_like t ~invalidate:true ~own:false p a
-      else begin
-        (* Failed mutating primitive: a fixed-cost global round trip whose
-           cache effect is that of a read.  The round trip is one message
-           on the wire, billed before the refill's own traffic — the same
-           event order the traced [Cc] model emits. *)
-        (match t.counters with
-        | None -> ()
-        | Some c -> Obs.Counters.bump_messages c ~pid:p ~addr:a 1);
-        t.on_cache ~t:t.clock ~pid:p ~addr:a ~action:"roundtrip" ~messages:1;
-        let (_ : int) = cc_read_like t p a in
-        1
-      end
-    | Cc.Write_back ->
-      if Op.is_read_only inv then cc_read_like t p a
-      else if t.owner.(a) = p then begin
-        (* Exclusive owner: completes in-cache, refreshing recency. *)
-        let i = line_of t p a in
-        if i >= 0 then touch_lru t p i;
-        0
-      end
-      else cc_write_like t ~invalidate:true ~own:true p a
-    | Cc.Write_update ->
-      if Op.is_read_only inv then cc_read_like t p a
-      else if Op.is_comparison inv && not wrote then
-        (* LFCU: a failed comparison on a cached copy is local, and leaves
-           the cache state untouched (no recency refresh — mirror of the
-           [Cc] fast path returning the state physically unchanged). *)
-        if has_copy t p a then 0 else cc_read_like t p a
-      else cc_write_like t ~invalidate:false ~own:false p a)
+  let i = line_of t p a in
+  let held = i >= 0 in
+  let owned = t.owner.(a) = p in
+  match Cc.decide protocol inv ~wrote ~has_copy:held ~owned with
+  | Cc.Hit ->
+    if held then touch_lru t p i;
+    0
+  | Cc.Hit_in_place -> 0
+  | Cc.Miss -> fetch t p a
+  | Cc.Round_trip ->
+    (* One message on the wire, billed before the refill's own traffic —
+       the same event order the traced [Cc] model emits. *)
+    (match t.counters with
+    | None -> ()
+    | Some c -> Obs.Counters.bump_messages c ~pid:p ~addr:a 1);
+    t.on_cache ~t:t.clock ~pid:p ~addr:a ~action:"roundtrip" ~messages:1;
+    if held then touch_lru t p i else ignore (fetch t p a : int);
+    1
+  | Cc.Invalidate -> write t interconnect ~invalidate:true ~own:false ~held p a
+  | Cc.Take_ownership ->
+    write t interconnect ~invalidate:true ~own:true ~held p a
+  | Cc.Update -> write t interconnect ~invalidate:false ~own:false ~held p a
 
 (* --- the one-step core --- *)
 
@@ -413,7 +373,8 @@ let account t p inv ~wrote =
        elsewhere ([Shared] is -1, remote to everyone). *)
     let home = Var.layout_home_code t.layout (Op.addr_of inv) in
     if home = p then 0 else 1
-  | Cc _ -> cc_account t p inv ~wrote
+  | Cc { protocol; interconnect; _ } ->
+    cc_account t protocol interconnect p inv ~wrote
 
 let complete_call t p ~crashed result =
   let finished = if crashed then t.clock - 1 else t.clock in

@@ -45,6 +45,16 @@ let fixtures =
       fun () ->
         Core.Results.to_json (Core.E4_queue_k.table ~n:16 ~ks:[ 1; 2; 4 ] ())
         ^ "\n" );
+    ( "test/golden/cc_tables.json",
+      (* Byte-identical to `separation tables --json e5 e6 e12`: the tables
+         that bill every CC protocol, interconnect and cache capacity, so
+         CI can diff the command's raw output against this file. *)
+      fun () ->
+        Core.Results.to_json_many
+          (Core.Runner.tables
+             (Core.Runner.run ~jobs:1
+                (List.map Core.Experiment_registry.find_exn
+                   [ "e5"; "e6"; "e12" ]))) );
     ( "test/golden/lint.json",
       (* Byte-identical to `separation lint --json`, so CI can diff the
          command's raw output against this file. *)

@@ -154,6 +154,49 @@ let test_lfcu_update_preserves_copies () =
   check_true "reader keeps its copy"
     (List.map (fun c -> c.Cost_model.rmr) costs = [ true; true; false ])
 
+(* The hit path, pinned.  On an unbounded cache, each access below must
+   return the model physically unchanged (the [make_stateful] contract)
+   and allocate under 12 minor words per [Cost_model.account]: the
+   holder-set lookups and the two result pairs, with no room for an
+   option allocated per access. *)
+let test_cc_hit_path_unchanged () =
+  let read = (0, Op.Read 0, false) in
+  let cases =
+    List.map
+      (fun protocol ->
+        (Cc.protocol_name protocol ^ " read hit", protocol, [ read ], read))
+      Cc.protocols
+    @ [ ( "cc-wb write by the owner",
+          Cc.Write_back,
+          [ (0, Op.Write (0, 1), true) ],
+          (0, Op.Write (0, 2), true) );
+        ( "cc-lfcu failed CAS on a cached copy",
+          Cc.Write_update,
+          [ read ],
+          (0, Op.Cas (0, 99, 1), false) ) ]
+  in
+  List.iter
+    (fun (name, protocol, warm, (pid, inv, wrote)) ->
+      let m =
+        List.fold_left
+          (fun m (pid, inv, wrote) -> fst (Cost_model.account m pid inv ~wrote))
+          (cc ~protocol ()) warm
+      in
+      let m', c = Cost_model.account m pid inv ~wrote in
+      check_true (name ^ ": local") (not c.Cost_model.rmr);
+      check_true (name ^ ": model physically unchanged") (m' == m);
+      let iters = 1000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to iters do
+        ignore (Sys.opaque_identity (Cost_model.account m pid inv ~wrote))
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int iters in
+      check_true
+        (Printf.sprintf "%s: %.1f minor words per account, want < 12" name
+           words)
+        (words < 12.))
+    cases
+
 (* --- message accounting (Sec. 8) --- *)
 
 let share_with_k_readers ~k m =
@@ -335,6 +378,8 @@ let suite =
     case "cc-wb: ownership migration" test_cc_wb_ownership_migrates;
     case "lfcu: failed comparison local" test_lfcu_failed_comparison_local;
     case "lfcu: updates preserve copies" test_lfcu_update_preserves_copies;
+    case "cc: hits leave the model unchanged and allocate little"
+      test_cc_hit_path_unchanged;
     case "messages: bus vs directory" test_messages_bus_vs_directory;
     case "limited directory precise when small" test_limited_directory_precise_when_small;
     case "invalidations bounded by RMRs" test_invalidations_bounded_by_rmrs;

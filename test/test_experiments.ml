@@ -177,6 +177,18 @@ let test_e4_golden_json () =
     (read_file "golden/e4_small.json")
     (Results.to_json (E4_queue_k.table ~n:16 ~ks:[ 1; 2; 4 ] ()) ^ "\n")
 
+let test_cc_tables_golden_json () =
+  (* E5, E6 and E12 bill algorithms under every CC protocol, interconnect
+     and cache capacity; pinned byte for byte against `separation tables
+     --json e5 e6 e12`. *)
+  Alcotest.(check string)
+    "golden JSON e5 e6 e12"
+    (read_file "golden/cc_tables.json")
+    (Results.to_json_many
+       (Runner.tables
+          (Runner.run ~jobs:1
+             (List.map Experiment_registry.find_exn [ "e5"; "e6"; "e12" ]))))
+
 let test_report_csv () =
   let t =
     Report.make ~title:"t" ~header:[ "a"; "b" ]
@@ -215,6 +227,7 @@ let suite =
     case "E1 golden JSON" test_e1_golden_json;
     case "E2 golden JSON" test_e2_golden_json;
     case "E4 golden JSON" test_e4_golden_json;
+    case "E5, E6, E12 golden JSON" test_cc_tables_golden_json;
     case "E1 golden output" test_e1_golden;
     case "E2 golden numbers" test_e2_golden_numbers;
     case "report csv" test_report_csv;

@@ -8,8 +8,8 @@
    timestamps, results, per-call RMR and step tallies, in completion
    order), the per-process and total RMR/message counters, the clock, the
    memory contents, the load-link sets, and the Specification 4.1 verdict.
-   Every catalog algorithm is exercised under DSM and under all three CC
-   protocols (plus directory interconnects and a capacity-bounded cache),
+   Every catalog algorithm is exercised under DSM and under every CC
+   protocol x interconnect x cache size (ideal, and a 2-line LRU cache),
    with crashes enabled. *)
 
 open Smr
@@ -52,9 +52,17 @@ type model_pair = {
   mp_flat : n:int -> Var.layout -> Flat_sim.model_spec;
 }
 
+(* DSM plus every protocol x interconnect x cache size: the ideal cache
+   (flat ways = the layout size, so the flat LRU never evicts) and a
+   2-line LRU cache on both engines. *)
 let model_pairs =
-  let cc ?capacity ~protocol ~interconnect ~ways name =
-    { mp_name = name;
+  let cc ~protocol ~interconnect ~capacity =
+    { mp_name =
+        Printf.sprintf "%s/%s%s" (Cc.protocol_name protocol)
+          (Cc.interconnect_name interconnect)
+          (match capacity with
+          | Some c -> Printf.sprintf "/cap%d" c
+          | None -> "");
       mp_sim =
         (fun ?tracer ~n _ ->
           Cc.model ?tracer ~protocol ~interconnect ?capacity ~n ());
@@ -64,22 +72,22 @@ let model_pairs =
             { protocol;
               interconnect;
               ways =
-                (match ways with
-                | Some w -> w
+                (match capacity with
+                | Some c -> c
                 | None -> max 1 (Var.layout_size layout)) }) }
   in
-  [ { mp_name = "dsm";
-      mp_sim = (fun ?tracer:_ ~n:_ layout -> Cost_model.dsm layout);
-      mp_flat = (fun ~n:_ _ -> Flat_sim.Dsm) };
-    cc ~protocol:Cc.Write_through ~interconnect:Cc.Bus ~ways:None "cc-wt/bus";
-    cc ~protocol:Cc.Write_back ~interconnect:Cc.Bus ~ways:None "cc-wb/bus";
-    cc ~protocol:Cc.Write_update ~interconnect:Cc.Bus ~ways:None "cc-lfcu/bus";
-    cc ~protocol:Cc.Write_through ~interconnect:Cc.Directory_precise ~ways:None
-      "cc-wt/dir";
-    cc ~protocol:Cc.Write_back ~interconnect:(Cc.Directory_limited 1) ~ways:None
-      "cc-wb/dir1";
-    cc ~protocol:Cc.Write_through ~interconnect:Cc.Bus ~capacity:2
-      ~ways:(Some 2) "cc-wt/cap2" ]
+  { mp_name = "dsm";
+    mp_sim = (fun ?tracer:_ ~n:_ layout -> Cost_model.dsm layout);
+    mp_flat = (fun ~n:_ _ -> Flat_sim.Dsm) }
+  :: List.concat_map
+       (fun protocol ->
+         List.concat_map
+           (fun interconnect ->
+             List.map
+               (fun capacity -> cc ~protocol ~interconnect ~capacity)
+               [ None; Some 2 ])
+           [ Cc.Bus; Cc.Directory_precise; Cc.Directory_limited 1 ])
+       Cc.protocols
 
 (* Drive both machines through one random schedule.  The two stay in
    lock-step by construction, so decisions can be made from the flat

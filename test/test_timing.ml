@@ -179,7 +179,16 @@ let test_capacity_eviction_drops_ownership () =
       (0, Op.Write (1, 1), true); (* evicts line 0 *)
       (0, Op.Write (0, 2), true) (* must re-acquire: RMR *) ]
   in
-  check_int "all three writes miss" 3 (rmrs (account_seq m steps))
+  check_int "all three writes miss" 3 (rmrs (account_seq m steps));
+  (* The same when a read miss does the evicting: the fill's eviction
+     drops ownership of line 0 like a write's does. *)
+  let steps =
+    [ (0, Op.Write (0, 1), true); (* own line 0 *)
+      (0, Op.Read 1, false); (* evicts line 0 *)
+      (0, Op.Write (0, 2), true) (* must re-acquire: RMR *) ]
+  in
+  check_int "write, evicting read, write: all three miss" 3
+    (rmrs (account_seq m steps))
 
 let test_capacity_one_equals_no_reuse () =
   (* Capacity 1 with an alternating working set degenerates to DSM-like
