@@ -42,32 +42,32 @@
      accounting, so the merged verdict is byte-identical for every job
      count.
 
-   Four constant-factor decisions keep the per-state cost flat (see
-   docs/MODEL.md, "Exploration fast path"):
+   Four constant-factor decisions keep the per-state cost and the
+   resident bytes per state flat (see docs/MODEL.md, "Exploration fast
+   path"):
 
    - The search steps no [Sim.t].  A node is the persistent [Memory.t],
      the caller's [Cost_model.t], the event clock, the per-process
-     metadata array (which is also the dedup key) and a persistent log of
-     completed calls; a running call's start time and RMR/step tallies
-     live in per-task arrays that are restored on backtrack.  That is
-     everything the property contract (a list of call records) and the
-     script contract (a {!view} of own call count and last result) read.
-     A violation is rebuilt afterwards as a full-history [Sim.t] by
-     replaying the recorded move path.
+     metadata array and a persistent log of completed calls; a running
+     call's start time and RMR/step tallies live in per-task arrays that
+     are restored on backtrack.  That is everything the property contract
+     (a list of call records) and the script contract (a {!view} of own
+     call count and last result) read.  A violation is rebuilt afterwards
+     as a full-history [Sim.t] by replaying the recorded move path.
 
-   - Memory identity is decided through [Memory.fp_hash], a running
-     behavioral hash maintained incrementally per operation, so
-     fingerprinting a state is O(running calls), not O(cells); the
-     structural comparison ([Memory.same_fingerprint]) runs only to
-     confirm a hash match.
+   - A state's hash is maintained incrementally: [Memory.fp_hash] is a
+     per-operation delta and the slot hashes a per-move one, so hashing a
+     state touches no cell and no response list.
 
-   - Fingerprints are interned ([Fp_intern]) to dense small ints, so the
-     visited table keys, hashes and compares on ints.
+   - What the dedup table stores per state is one packed byte string: the
+     observable memory cells and, per process, a few small ints, with
+     labels and response lists replaced by task-local ids.  Keys are
+     compared byte for byte, and nothing of the live search (programs,
+     response lists, snapshot arrays, memories) is retained by a key.
 
    - Symmetric keys are canonicalized in per-task scratch: the permutation
-     is found without allocating, and the canonical hash and the
-     comparison against stored keys run through it; the relabeled key is
-     built only when the state is new.
+     is found without allocating, and the canonical hash and the packed
+     key are computed through it, so no relabeled array is ever built.
 
    Dedup and POR assume (and [check]'s documentation requires) that the
    property judges each call, at its completion, from the call's own
@@ -110,14 +110,15 @@ type move =
 
 (* --- per-process search metadata --- *)
 
-(* Per-running-call metadata the fingerprint needs: the responses received
+(* Per-running-call metadata the dedup key needs: the responses received
    so far inside the call (they determine the continuation of a
    deterministic program) and the completed-call counts of every scripted
    process at the call's start (they determine how interval-order
-   properties will judge the call once it completes).  Dedup keys retain
-   these records, so nothing else lives here: the call's start time and
-   RMR/step tallies, which only the property's call records read, are kept
-   in per-task arrays instead. *)
+   properties will judge the call once it completes).  The call's start
+   time and RMR/step tallies, which only the property's call records read,
+   are kept in per-task arrays instead, so a move copies none of them.
+   Dedup keys do not retain these records: a key packs the label and the
+   responses as task-local ids, next to the seq and the snapshot. *)
 type call_meta = {
   program : Op.value Program.t;
       (* the call's remaining program — it yields the pending invocation
@@ -140,12 +141,13 @@ type call_meta = {
 (* One entry per process, indexed by pid (pids are dense, [0..n-1]).  The
    explorer never terminates or crashes a process (a script that answers
    [None] just stops producing moves), so idle-with-history and running
-   are the only control points — and every fact the fingerprint, the move
+   are the only control points — and every fact the dedup key, the move
    enumeration and the scripts need is maintained here incrementally.  The
    array is copy-on-write: a move copies, nothing ever mutates an existing
-   array — each one is retained as part of its state's interned
-   fingerprint.  Unscripted processes stay [P_idle (0, None)] forever;
-   their contribution to every fingerprint is the same constant, so
+   array, so a child shares every slot it did not move with its parent.
+   An array lives as long as a search node holds it; the dedup table keeps
+   only its packed encoding.  Unscripted processes stay [P_idle (0, None)]
+   forever; their contribution to every key is the same constant, so
    including them changes no state equivalence. *)
 type pmeta =
   | P_idle of int * Op.value option (* calls begun, last result *)
@@ -196,71 +198,14 @@ let moves scripts (meta : pmeta array) =
         | Some (label, program) -> Some (p, M_begin (label, program))))
     scripts
 
-(* --- fingerprinting --- *)
+(* --- state hashing --- *)
 
-(* A state's exact identity: the memory (persistent, so retaining it is
-   free; compared behaviorally via [Memory.same_fingerprint], never
-   serialized) and the per-process control points — which are the tracked
-   metadata array itself.  The array is copy-on-write, so retaining it as
-   a key is free.  Equality and hashing read only the fingerprint-relevant
-   fields: [program] is excluded by construction (for a deterministic
-   program it is a function of the call's label and responses). *)
-type fp = { fp_mem : Memory.t; fp_meta : pmeta array }
-
-(* Exact state identity, consulted only when two states share a hash.  The
-   process summaries go first: their scalar prefixes reject unequal
-   control points before the memory walk runs.  All comparisons are
-   monomorphic and fail-fast — on a dedup hit (the common case: the keys
-   ARE equal) the whole comparison is a run of int compares plus physical
-   shortcuts on shared labels, list spines and snapshot arrays, never the
-   generic structural compare. *)
-let value_opt_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> Op.value_equal x y
-  | None, Some _ | Some _, None -> false
-
-let rec resps_equal l1 l2 =
-  l1 == l2
-  ||
-  match (l1, l2) with
-  | x :: t1, y :: t2 -> Op.value_equal x y && resps_equal t1 t2
-  | [], [] -> true
-  | [], _ :: _ | _ :: _, [] -> false
-
-let snap_equal (s1 : int array) (s2 : int array) =
-  s1 == s2
-  || (Array.length s1 = Array.length s2
-     &&
-     let rec go i = i < 0 || (s1.(i) = s2.(i) && go (i - 1)) in
-     go (Array.length s1 - 1))
-
-(* Everything of two running slots but their snapshots. *)
-let running_heads_equal m1 m2 =
-  m1.label_h = m2.label_h && m1.seq = m2.seq && m1.resps_len = m2.resps_len
-  && m1.resps_h = m2.resps_h
-  && (m1.label == m2.label || String.equal m1.label m2.label)
-     (* scripts hand out the same physical label string every time, so
-        the string walk virtually never runs *)
-  && resps_equal m1.resps_rev m2.resps_rev
-
-let pmeta_equal a b =
-  match (a, b) with
-  | P_idle (c1, r1), P_idle (c2, r2) -> c1 = c2 && value_opt_equal r1 r2
-  | P_running m1, P_running m2 ->
-    running_heads_equal m1 m2 && snap_equal m1.snap m2.snap
-  | P_idle _, P_running _ | P_running _, P_idle _ -> false
-
-let metas_equal (a : pmeta array) (b : pmeta array) =
-  a == b
-  || (Array.length a = Array.length b
-     &&
-     let rec go i = i < 0 || (pmeta_equal a.(i) b.(i) && go (i - 1)) in
-     go (Array.length a - 1))
-
-let fp_equal a b =
-  metas_equal a.fp_meta b.fp_meta
-  && Memory.same_fingerprint a.fp_mem b.fp_mem
+(* A state's exact identity is its memory's observable cells plus the
+   per-process control points (the metadata array).  The dedup table
+   stores it packed (see "packed dedup keys" below); what is maintained
+   incrementally here is its hash.  [program] takes no part in either:
+   for a deterministic program it is a function of the call's label and
+   responses. *)
 
 (* Rolling-hash mixer for the incremental response hash and the state hash
    below. *)
@@ -281,8 +226,9 @@ let fmix h =
    comparisons.  Instead the scalar summaries are folded explicitly, each
    of them already maintained incrementally: [Memory.fp_hash] is a per-
    operation delta, [resps_h] a per-response delta — so hashing a state is
-   O(processes), touching no cell and no response list.  [fp_equal] still
-   decides matches exactly, so collisions cost time, never soundness. *)
+   O(processes), touching no cell and no response list.  The packed key
+   still decides matches exactly, so collisions cost time, never
+   soundness. *)
 let rec hash_snap (s : int array) i h =
   if i >= Array.length s then h else hash_snap s (i + 1) (mix h s.(i))
 
@@ -303,7 +249,7 @@ let running_head_hash i m =
    (plus [Memory.fp_hash]): addition commutes, so the sum can be maintained
    incrementally — each move changes exactly one slot, and a move swaps
    that slot's contribution out and in — making the per-node hashing cost
-   O(1) slots instead of a walk over all of them.  [fp_equal] decides
+   O(1) slots instead of a walk over all of them.  The packed key decides
    matches exactly, so collisions cost time, never soundness. *)
 let slot_hash (i : int) = function
   | P_idle (c, r) -> idle_hash i c r
@@ -358,11 +304,10 @@ let mh_swap mh (meta : pmeta array) p pm =
    the real state under an actual permutation, so every pruned state has a
    genuinely explored orbit representative.
 
-   None of this allocates until a state turns out to be new.  The
-   permutation is found in per-task {!scratch}; the canonical hash and the
-   comparison against stored keys read the raw array through the inverse
-   permutation ({!Fp_intern.intern_with} probes, then materializes); only a
-   miss builds the relabeled array.
+   None of this builds a relabeled array.  The permutation is found in
+   per-task {!scratch}; the canonical hash and the packed key read the raw
+   array through the inverse permutation, so the key the table compares
+   and stores is already canonical.
 
    Sleep sets cross the same boundary: the antichain entries recorded for
    an orbit id live in {e canonical} pid coordinates, so the probing
@@ -370,8 +315,99 @@ let mh_swap mh (meta : pmeta array) p pm =
    subset test — comparing raw sleep pids against a twin's entries would
    prune interleavings no representative explored. *)
 
-(* Per-task canonicalization scratch; also the probe {!Fp_intern} matches
-   stored keys against.  Nothing here is shared between tasks. *)
+(* The task-local ids a packed key writes in place of a running call's
+   label and response list, dense and in first-packed order.  Equal labels
+   (equal responses) get equal ids and distinct ones distinct ids, so
+   comparing ids decides what comparing the strings (the lists) would,
+   and a key's size does not grow with how long a call has spun.  A list
+   is identified one response at a time, never by walking it: [[]] is
+   trie node 0, and [r :: tl] is 1 + the node interned for the pair
+   (node of [tl], [r]).  The search extends a call's list one response
+   per step and shares it with every state until the next one, so a memo
+   of the lists last seen (compared physically) almost always holds the
+   list or its tail: one array read, or one pair probe. *)
+type ids = {
+  labels : string Fp_intern.t;
+  nodes : (int * Op.value) Fp_intern.t; (* (tail node, head) *)
+  mutable list_ids : int array; (* trie node -> list id; -1 = none yet *)
+  mutable lists : int; (* list ids handed out *)
+  mutable memo_lists : Op.value list array;
+      (* at [len * n + p]: the list of length [len] last seen in slot [p]
+         of an [n]-slot state *)
+  mutable memo_nodes : int array; (* its trie node *)
+  mutable r_tail : int; (* the (tail node, head) pair being probed *)
+  mutable r_head : Op.value;
+}
+
+let pair_equal ((t1 : int), h1) (t2, h2) = t1 = t2 && Op.value_equal h1 h2
+
+let ids () =
+  { labels = Fp_intern.create ~size:16 ~equal:String.equal ();
+    nodes = Fp_intern.create ~equal:pair_equal ();
+    list_ids = [||];
+    lists = 0;
+    memo_lists = [||];
+    memo_nodes = [||];
+    r_tail = 0;
+    r_head = 0 }
+
+let probe_pair (t, h) ids =
+  (t : int) = ids.r_tail && Op.value_equal h ids.r_head
+
+let pair_of ids = (ids.r_tail, ids.r_head)
+
+let memoize ids i l node =
+  if i >= Array.length ids.memo_lists then begin
+    let cap = max 64 (2 * i) in
+    let lists = Array.make cap [] and nodes = Array.make cap 0 in
+    Array.blit ids.memo_lists 0 lists 0 (Array.length ids.memo_lists);
+    Array.blit ids.memo_nodes 0 nodes 0 (Array.length ids.memo_nodes);
+    ids.memo_lists <- lists;
+    ids.memo_nodes <- nodes
+  end;
+  ids.memo_lists.(i) <- l;
+  ids.memo_nodes.(i) <- node
+
+(* The trie node of [l], of length [len], in slot [p] of an [n]-slot
+   state. *)
+let rec resps_node ids n p l len =
+  match l with
+  | [] -> 0
+  | r :: tl ->
+    let i = (len * n) + p in
+    if i < Array.length ids.memo_lists && ids.memo_lists.(i) == l then
+      ids.memo_nodes.(i)
+    else begin
+      let tail = resps_node ids n p tl (len - 1) in
+      ids.r_tail <- tail;
+      ids.r_head <- r;
+      let node =
+        1
+        + Fp_intern.intern_with ids.nodes
+            ~hash:(fmix (mix tail r))
+            ~equal:probe_pair ~make:pair_of ids
+      in
+      memoize ids i l node;
+      node
+    end
+
+let list_id ids node =
+  if node >= Array.length ids.list_ids then begin
+    let a = Array.make (max 64 (2 * node)) (-1) in
+    Array.blit ids.list_ids 0 a 0 (Array.length ids.list_ids);
+    ids.list_ids <- a
+  end;
+  let id = ids.list_ids.(node) in
+  if id >= 0 then id
+  else begin
+    ids.list_ids.(node) <- ids.lists;
+    ids.lists <- ids.lists + 1;
+    ids.lists - 1
+  end
+
+(* Per-task canonicalization scratch; also holds the packed key of the
+   state being probed, which {!Fp_intern} matches stored keys against.
+   Nothing here is shared between tasks. *)
 type scratch = {
   sym_arr : int array; (* the interchangeable pids, ascending *)
   is_sym : bool array; (* indexed by pid: membership in [sym_arr] *)
@@ -381,13 +417,15 @@ type scratch = {
   oth_a : int array; (* the two snapshots' other symmetric entries *)
   oth_b : int array;
   mutable s_meta : pmeta array; (* the array being canonicalized/probed *)
-  mutable s_mem : Memory.t; (* the probed state's memory *)
   mutable relabeled : bool; (* [perm] is not the identity *)
+  ids : ids;
+  mutable buf : Bytes.t; (* the packed key of [s_meta], canonical *)
+  mutable len : int; (* bytes of [buf] the key uses *)
 }
 
 (* Scratch for [n]-process arrays.  With fewer than two interchangeable
-   pids there is nothing to canonicalize, and it only carries probes. *)
-let scratch ~n ~mem symmetry =
+   pids there is nothing to canonicalize, and it only packs keys. *)
+let scratch ~n ~ids symmetry =
   let arr =
     Array.of_list
       (Pid_set.elements (Pid_set.filter (fun p -> p >= 0 && p < n) symmetry))
@@ -403,8 +441,10 @@ let scratch ~n ~mem symmetry =
     oth_a = Array.make (max 0 (k - 1)) 0;
     oth_b = Array.make (max 0 (k - 1)) 0;
     s_meta = [||];
-    s_mem = mem;
-    relabeled = false }
+    relabeled = false;
+    ids;
+    buf = Bytes.empty;
+    len = 0 }
 
 (* [Stdlib.Array.sort]'s ternary heap sort, specialized to int arrays and
    an explicit comparator context, with its [Bottom] exception replaced by
@@ -573,28 +613,6 @@ let canonicalize sc (meta : pmeta array) =
     sc.relabeled <- true
   end
 
-(* Image of the metadata array under [perm] (old pid -> canonical pid):
-   slot [p] moves to [perm.(p)] and every running slot's snapshot — the
-   pinned ones included — is re-indexed the same way.  Fresh arrays only;
-   the input is retained elsewhere (it is the live search state). *)
-let apply_perm (perm : int array) (meta : pmeta array) =
-  let n = Array.length meta in
-  let relabel_snap (s : int array) =
-    let s' = Array.make n 0 in
-    for q = 0 to n - 1 do
-      s'.(perm.(q)) <- s.(q)
-    done;
-    s'
-  in
-  let out = Array.make n (P_idle (0, None)) in
-  for p = 0 to n - 1 do
-    out.(perm.(p)) <-
-      (match meta.(p) with
-      | P_idle _ as pm -> pm
-      | P_running m -> P_running { m with snap = relabel_snap m.snap })
-  done;
-  out
-
 (* The same facts about the relabeled array, read through [inv] (canonical
    pid -> old pid) without building it: entry [i] of a relabeled snapshot
    is entry [inv.(i)] of the raw one. *)
@@ -602,7 +620,7 @@ let rec hash_snap_via (inv : int array) (s : int array) i h =
   if i >= Array.length s then h
   else hash_snap_via inv s (i + 1) (mix h s.(inv.(i)))
 
-(* [mh_full (apply_perm sc.perm sc.s_meta)]. *)
+(* [mh_full] of [sc.s_meta] relabeled by [sc.perm]. *)
 let mh_relabeled sc =
   let meta = sc.s_meta and perm = sc.perm and inv = sc.inv in
   let h = ref 0 in
@@ -617,39 +635,111 @@ let mh_relabeled sc =
   done;
   !h
 
-let snap_equal_via (inv : int array) (canon : int array) (raw : int array) =
-  Array.length canon = Array.length raw
-  &&
-  let rec go i = i < 0 || (canon.(i) = raw.(inv.(i)) && go (i - 1)) in
-  go (Array.length canon - 1)
+(* --- packed dedup keys --- *)
 
-(* [pmeta_equal stored (slot of the relabeled array)], the latter given as
-   its raw slot. *)
-let pmeta_equal_via inv stored raw =
-  match (stored, raw) with
-  | P_running m1, P_running m2 ->
-    running_heads_equal m1 m2 && snap_equal_via inv m1.snap m2.snap
-  | _ -> pmeta_equal stored raw
+(* The key the dedup table stores for the scratch's state, written into
+   [sc.buf]: per canonical slot [i] (raw slot [inv.(i)] when relabeled)
+   - idle: tag 0 and the begun count, or tag 1, the begun count and the
+     last result;
+   - running: tag 2, the label id, the seq, the response-list id and the
+     start snapshot, its entry [j] read at [inv.(j)] when relabeled;
+   then, to the end of the key, each observable memory cell in address
+   order: address, value, link count and the linking pids.  Every int is
+   zigzag-LEB128 coded, so each field and slot delimits itself and the
+   memory needs no count: two keys are equal as bytes iff their states
+   are equal as (canonical metadata, [Memory.fingerprint]).  Helpers are
+   top-level functions, so encoding a key allocates only the memory
+   walk's closure, a pid list per linked cell and, rarely, a bigger
+   [buf]. *)
 
-(* The probe side of {!Fp_intern.intern_with}: whether a stored key equals
-   the scratch's state, canonicalized when [sc.relabeled]. *)
-let probe_equal (key : fp) sc =
+let grow_buf sc =
+  let b = Bytes.create (max 64 (2 * Bytes.length sc.buf)) in
+  Bytes.blit sc.buf 0 b 0 sc.len;
+  sc.buf <- b
+
+let put_byte sc b =
+  let len = sc.len in
+  if len >= Bytes.length sc.buf then grow_buf sc;
+  Bytes.unsafe_set sc.buf len (Char.unsafe_chr b);
+  sc.len <- len + 1
+
+(* LEB128 of [x] read as an unsigned 63-bit int: 7 bits a byte, the low
+   group first, the high bit set on every byte but the last. *)
+let rec put_uleb sc x =
+  if x lsr 7 = 0 then put_byte sc x
+  else begin
+    put_byte sc ((x land 0x7f) lor 0x80);
+    put_uleb sc (x lsr 7)
+  end
+
+(* Zigzag first (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), so small negative
+   ints are short too. *)
+let put_int sc x = put_uleb sc ((x lsl 1) lxor (x asr 62))
+
+let rec put_snap sc (s : int array) j =
+  if j < Array.length s then begin
+    put_int sc (if sc.relabeled then s.(sc.inv.(j)) else s.(j));
+    put_snap sc s (j + 1)
+  end
+
+let put_slot sc p = function
+  | P_idle (c, None) ->
+    put_byte sc 0;
+    put_int sc c
+  | P_idle (c, Some v) ->
+    put_byte sc 1;
+    put_int sc c;
+    put_int sc v
+  | P_running m ->
+    put_byte sc 2;
+    put_int sc (Fp_intern.intern sc.ids.labels ~hash:m.label_h m.label);
+    put_int sc m.seq;
+    let n = Array.length sc.s_meta in
+    put_int sc (list_id sc.ids (resps_node sc.ids n p m.resps_rev m.resps_len));
+    put_snap sc m.snap 0
+
+let rec put_links sc = function
+  | [] -> ()
+  | p :: rest ->
+    put_int sc p;
+    put_links sc rest
+
+let put_cell a v links sc =
+  put_int sc a;
+  put_int sc v;
+  put_int sc (List.length links);
+  put_links sc links;
+  sc
+
+(* Pack [sc.s_meta] (through [sc.inv] when relabeled) and [mem]. *)
+let encode sc mem =
+  sc.len <- 0;
   let meta = sc.s_meta in
-  (if sc.relabeled then
-     let inv = sc.inv and stored = key.fp_meta in
-     Array.length stored = Array.length meta
-     &&
-     let rec go i =
-       i < 0 || (pmeta_equal_via inv stored.(i) meta.(inv.(i)) && go (i - 1))
-     in
-     go (Array.length meta - 1)
-   else metas_equal key.fp_meta meta)
-  && Memory.same_fingerprint key.fp_mem sc.s_mem
+  for i = 0 to Array.length meta - 1 do
+    let p = if sc.relabeled then sc.inv.(i) else i in
+    put_slot sc p meta.(p)
+  done;
+  ignore (Memory.fold_observable put_cell mem sc)
 
-let canonical_meta sc =
-  if sc.relabeled then apply_perm sc.perm sc.s_meta else sc.s_meta
+external string_get64 : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
 
-let probe_key sc = { fp_mem = sc.s_mem; fp_meta = canonical_meta sc }
+(* [s] and the first [len] bytes of [b] agree from [i] on; [s] has
+   length [len].  Eight bytes a compare while they last. *)
+let rec same_bytes (s : string) (b : bytes) i len =
+  if i + 8 <= len then
+    (string_get64 s i : int64) = bytes_get64 b i && same_bytes s b (i + 8) len
+  else
+    i >= len
+    || (String.unsafe_get s i = Bytes.unsafe_get b i
+       && same_bytes s b (i + 1) len)
+
+(* The probe side of {!Fp_intern.intern_with}: a stored key equals the
+   scratch's, and on a miss the scratch's key is copied out. *)
+let key_equal (key : string) sc =
+  String.length key = sc.len && same_bytes key sc.buf 0 sc.len
+
+let key_of sc = Bytes.sub_string sc.buf 0 sc.len
 
 (* Script-level symmetry detection: of the candidate (pid, first-call)
    pairs, the group of pids whose calls are literally interchangeable with
@@ -714,7 +804,7 @@ let detect_symmetry ?(fuel = 4096) ~values candidates =
 
 (* --- search nodes and stepping --- *)
 
-(* A search node: everything a move reads or a dedup key retains.  All of
+(* A search node: everything a move reads or a dedup key encodes.  All of
    it is persistent — branching is just retaining a binding.  [counts] is
    the completed-call count per pid, under the invariant that
    [counts.(q)] is the number of calls [q] has completed (no crashes
@@ -722,8 +812,8 @@ let detect_symmetry ?(fuel = 4096) ~values candidates =
    it began and a running one everything but the call in flight).  Like
    [meta] it is copy-on-write ([bump] copies, nothing mutates a shared
    array), which is what lets a begin adopt the current array as its
-   [snap] without copying: most snapshots are then physically shared, so
-   [snap_equal]'s [==] shortcut fires and no per-begin allocation runs. *)
+   [snap] without copying: most snapshots are then physically shared, and
+   no per-begin allocation runs. *)
 type node = {
   mem : Memory.t;
   model : Cost_model.t; (* the caller's model, stepped per operation *)
@@ -745,9 +835,8 @@ let root ~model ~layout ~n =
 
 (* Start time and RMR/step tallies of each process's call in flight.  Only
    the property's call records read them, so they stay out of the nodes
-   (and out of the dedup keys the nodes' metadata becomes): one mutable
-   copy per task, written by a move and restored when the search
-   backtracks over it. *)
+   (and out of the dedup keys): one mutable copy per task, written by a
+   move and restored when the search backtracks over it. *)
 type tally = { started : int array; rmrs : int array; steps : int array }
 
 let tally0 n =
@@ -970,6 +1059,39 @@ let child_sleep ~por ~commute ~completed ms sleep explored mv =
           | None -> false)
         (Pid_set.union sleep explored)
 
+(* A visited key's sleep sets form a ⊆-antichain: a revisit is pruned iff
+   some recorded set is a subset of its sleep set (no fewer awake moves);
+   otherwise its set is recorded and the supersets it covers dropped.  The
+   antichains are hash-consed per task — a few hundred distinct lists
+   serve over a million keys — and the table stores each key's antichain
+   as an id.  Top-level helpers, so checking a revisit allocates
+   nothing. *)
+let rec covered csleep = function
+  | [] -> false
+  | sl :: rest -> Pid_set.subset sl csleep || covered csleep rest
+
+let rec drop_supersets csleep = function
+  | [] -> []
+  | sl :: rest ->
+    if Pid_set.subset csleep sl then drop_supersets csleep rest
+    else sl :: drop_supersets csleep rest
+
+let mix_pid p h = mix h p
+
+let rec chain_hash h = function
+  | [] -> h
+  | sl :: rest -> chain_hash (mix (Pid_set.fold mix_pid sl h) (-1)) rest
+
+let rec chain_equal c1 c2 =
+  c1 == c2
+  ||
+  match (c1, c2) with
+  | s1 :: t1, s2 :: t2 -> Pid_set.equal s1 s2 && chain_equal t1 t2
+  | [], [] -> true
+  | [], _ :: _ | _ :: _, [] -> false
+
+let intern_chain chains c = Fp_intern.intern chains ~hash:(chain_hash 0 c) c
+
 (* --- subtree exploration --- *)
 
 type task = {
@@ -1031,27 +1153,30 @@ let take_lease pool =
    the fixed-budget semantics without re-exploring completed tasks. *)
 let explore_subtree ~dedup ~por ~commute ~property ~scripts
     ~max_steps_per_history ~budget ~symmetry task =
-  (* State identity: (incremental hash, exact key) pairs interned to dense
-     ints; the visited table and its sleep-set antichains then key on
-     ints.  Both tables and the canonicalization scratch are task-private,
-     so no synchronization. *)
-  let intern : fp Fp_intern.t = Fp_intern.create ~equal:fp_equal () in
-  let sc =
-    scratch ~n:(Array.length task.t_node.meta) ~mem:task.t_node.mem symmetry
-  in
+  (* State identity: (incremental hash, packed key) pairs interned to
+     dense ints; the visited table and its sleep-set antichains then key
+     on ints.  The tables, the ids the keys refer to and the
+     canonicalization scratch are task-private, so no synchronization. *)
+  let intern : string Fp_intern.t = Fp_intern.create ~equal:String.equal () in
+  let sc = scratch ~n:(Array.length task.t_node.meta) ~ids:(ids ()) symmetry in
   let symmetric = Array.length sc.sym_arr >= 2 in
   let tl = copy_tally task.t_tally in
-  (* Sleep-set antichains, indexed directly by interned id: ids are dense
-     (0, 1, 2, ...), so a growable array replaces a second hash lookup. *)
-  let visited : Pid_set.t list array ref = ref (Array.make 1024 []) in
+  let chains : Pid_set.t list Fp_intern.t =
+    Fp_intern.create ~size:64 ~equal:chain_equal ()
+  in
+  ignore (intern_chain chains [] : int) (* id 0: no visit recorded *);
+  (* Each key's antichain id, indexed directly by interned id: ids are
+     dense (0, 1, 2, ...), so a growable array replaces a second hash
+     lookup. *)
+  let visited = ref (Array.make 1024 0) in
   let antichain id =
     let arr = !visited in
     if id < Array.length arr then arr.(id)
     else begin
-      let arr' = Array.make (max (2 * Array.length arr) (id + 1)) [] in
+      let arr' = Array.make (max (2 * Array.length arr) (id + 1)) 0 in
       Array.blit arr 0 arr' 0 (Array.length arr);
       visited := arr';
-      []
+      0
     end
   in
   let histories = ref 0 and truncated = ref 0 and states = ref 0 in
@@ -1068,18 +1193,6 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
       | B_fixed _ -> ()
       | B_shared pool -> credits := take_lease pool);
       if !credits = 0 then raise (Stopped None)
-    end
-  in
-  (* Prune iff a prior visit (of the orbit) had a sleep set no larger (so
-     no fewer awake moves); else record this visit's sleep set in the
-     ⊆-antichain. *)
-  let seen entries csleep record =
-    if List.exists (fun sl -> Pid_set.subset sl csleep) entries then true
-    else begin
-      record
-        (csleep
-        :: List.filter (fun sl -> not (Pid_set.subset csleep sl)) entries);
-      false
     end
   in
   let rec visit node sleep depth ~completed =
@@ -1138,21 +1251,27 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
       sc.s_meta <- node.meta;
       sc.relabeled <- false
     end;
-    sc.s_mem <- node.mem;
     let csleep =
       if sc.relabeled then Pid_set.map (fun q -> sc.perm.(q)) sleep else sleep
     in
     let cmh = if sc.relabeled then mh_relabeled sc else node.mh in
+    encode sc node.mem;
     let id =
       Fp_intern.intern_with intern
         ~hash:(mix (Memory.fp_hash node.mem) cmh)
-        ~equal:probe_equal ~make:probe_key sc
+        ~equal:key_equal ~make:key_of sc
     in
-    let hit = seen (antichain id) csleep (fun l -> !visited.(id) <- l) in
+    (* Prune iff a prior visit (of the orbit) had a sleep set no larger;
+       else record this visit's sleep set in the antichain. *)
+    let entries = Fp_intern.key chains (antichain id) in
+    let hit = covered csleep entries in
     if hit then begin
       incr dedup_hits;
       if sc.relabeled then incr orbit_hits
-    end;
+    end
+    else
+      !visited.(id) <-
+        intern_chain chains (csleep :: drop_supersets csleep entries);
     not hit
   in
   let initial_credits =
@@ -1416,11 +1535,14 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
       ~violation
       ~capped:(List.exists (fun s -> s.s_capped) subs)
 
-(* Internal canonicalization machinery, re-exported under stable builders
-   so the test suite can state the canonicalization laws (idempotence,
-   invariance under relabelings, pinned slots untouched, hash and equality
-   through the permutation agreeing with the materialized array) directly
-   against the production comparator, sort and permutation code. *)
+(* Internal canonicalization and key-packing machinery, re-exported under
+   stable constructors so the test suite can state the canonicalization laws
+   (idempotence, invariance under relabelings, pinned slots untouched,
+   hash and key through the permutation agreeing with the materialized
+   array) and the packing law (equal keys iff equal states) directly
+   against the production comparator, sort, permutation and encoder.  The
+   relabeling and the structural equality below are the reference those
+   laws are stated against; the search uses neither. *)
 module Testing = struct
   type slot = pmeta
 
@@ -1437,22 +1559,73 @@ module Testing = struct
         resps_h = List.fold_left mix 0 (List.rev resps_rev);
         snap = Array.copy snap }
 
-  let relabel ~perm (meta : slot array) = apply_perm perm meta
+  (* Image of the metadata array under [perm] (old pid -> new pid):
+     slot [p] moves to [perm.(p)] and every running slot's snapshot — the
+     pinned ones included — is re-indexed the same way.  Fresh arrays
+     only. *)
+  let relabel ~(perm : int array) (meta : slot array) =
+    let n = Array.length meta in
+    let relabel_snap (s : int array) =
+      let s' = Array.make n 0 in
+      for q = 0 to n - 1 do
+        s'.(perm.(q)) <- s.(q)
+      done;
+      s'
+    in
+    let out = Array.make n (P_idle (0, None)) in
+    for p = 0 to n - 1 do
+      out.(perm.(p)) <-
+        (match meta.(p) with
+        | P_idle _ as pm -> pm
+        | P_running m -> P_running { m with snap = relabel_snap m.snap })
+    done;
+    out
 
-  let empty_mem = lazy (Memory.create (Var.Ctx.freeze (Var.Ctx.create ())))
+  let value_opt_equal a b =
+    match (a, b) with
+    | None, None -> true
+    | Some x, Some y -> Op.value_equal x y
+    | None, Some _ | Some _, None -> false
+
+  let rec resps_equal l1 l2 =
+    match (l1, l2) with
+    | x :: t1, y :: t2 -> Op.value_equal x y && resps_equal t1 t2
+    | [], [] -> true
+    | [], _ :: _ | _ :: _, [] -> false
+
+  let snap_equal (s1 : int array) (s2 : int array) =
+    Array.length s1 = Array.length s2 && Array.for_all2 Int.equal s1 s2
+
+  let slot_equal a b =
+    match (a, b) with
+    | P_idle (c1, r1), P_idle (c2, r2) -> c1 = c2 && value_opt_equal r1 r2
+    | P_running m1, P_running m2 ->
+      String.equal m1.label m2.label
+      && m1.seq = m2.seq
+      && resps_equal m1.resps_rev m2.resps_rev
+      && snap_equal m1.snap m2.snap
+    | P_idle _, P_running _ | P_running _, P_idle _ -> false
+
+  let equal (a : slot array) (b : slot array) =
+    Array.length a = Array.length b && Array.for_all2 slot_equal a b
+
+  type nonrec ids = ids
+
+  let ids = ids
+
+  let shared_ids = lazy (ids ())
 
   (* The scratch after canonicalizing [meta]. *)
-  let canonicalized ~symmetry (meta : slot array) =
-    let sc =
-      scratch ~n:(Array.length meta) ~mem:(Lazy.force empty_mem) symmetry
-    in
+  let canonicalized ?(ids = Lazy.force shared_ids) ~symmetry
+      (meta : slot array) =
+    let sc = scratch ~n:(Array.length meta) ~ids symmetry in
     if Array.length sc.sym_arr >= 2 then canonicalize sc meta
     else sc.s_meta <- meta;
     sc
 
   let canonicalize ~symmetry (meta : slot array) =
     let sc = canonicalized ~symmetry meta in
-    (canonical_meta sc, sc.relabeled)
+    ((if sc.relabeled then relabel ~perm:sc.perm meta else meta), sc.relabeled)
 
   let hash = mh_full
 
@@ -1460,13 +1633,17 @@ module Testing = struct
     let sc = canonicalized ~symmetry meta in
     if sc.relabeled then mh_relabeled sc else mh_full meta
 
-  let canonical_equal ~symmetry (meta : slot array) (key : slot array) =
-    let sc = canonicalized ~symmetry meta in
-    probe_equal { fp_mem = sc.s_mem; fp_meta = key } sc
+  let key ?ids ~symmetry mem (meta : slot array) =
+    let sc = canonicalized ?ids ~symmetry meta in
+    encode sc mem;
+    key_of sc
 
-  let equal = metas_equal
+  let empty_mem = lazy (Memory.create (Var.Ctx.freeze (Var.Ctx.create ())))
 
-  let slot_equal = pmeta_equal
+  let canonical_equal ~symmetry (meta : slot array) (stored : slot array) =
+    let mem = Lazy.force empty_mem in
+    String.equal (key ~symmetry mem meta)
+      (key ~symmetry:Pid_set.empty mem stored)
 
   let heap_sort cmp (a : int array) = heap_sort (fun f x y -> f x y) cmp a
 end

@@ -13,7 +13,8 @@
     The search does not step a {!Sim.t}: it steps memory and the caller's
     cost model directly, keeping exactly what the two contracts below
     read.  It does no file I/O: each subtree task keeps its visited states
-    in memory, as {!Fp_intern} ids with their sleep-set antichains, so
+    in memory, as packed keys interned to {!Fp_intern} ids with their
+    sleep-set antichains, so
     resident memory grows with [stats.fp_distinct].  A violating history
     is rebuilt afterwards as a full-history machine (see {!result}).
 
@@ -194,9 +195,15 @@ val check :
 
     With dedup on, every distinct key a task reaches stays resident until
     the task ends, and tasks running at once hold their tables side by
-    side; [split_depth:0] runs one task, so one table sees every state
-    (see docs/MODEL.md, "Symmetry reduction", for the peak memory measured
-    at the largest scope CI runs).
+    side; [split_depth:0] runs one task, so one table sees every state.
+    A key is one packed byte string (the observable memory cells and a
+    few small ints per process, labels and response lists as task-local
+    ids) plus its table slots and an antichain id: at [split_depth:0] on
+    cc-flag with 2 polls, the heap peaks at about 160 bytes per distinct
+    key with 5 waiters and 180 with 6, and a key does not grow with how
+    long a call has spun (see docs/MODEL.md, "Exploration fast path" and
+    "Symmetry reduction", for the peak memory measured at the largest
+    scopes).
 
     With [tracer], one {!Obs.Event.Explore_task} span per subtree task is
     emitted after the parallel phase, in task order, with synthetic ticks
@@ -206,15 +213,16 @@ val check :
     carries (one clock read; the two can never disagree), which
     deterministic renderings exclude. *)
 
-(** Internal canonicalization machinery under stable builders, so the test
-    suite can state the canonicalization laws — idempotence, invariance
-    under waiter relabelings, pinned slots never moved, hash and equality
-    computed through the permutation agreeing with the materialized
-    array — directly against the production comparator, sort and
-    permutation code.  Not for production use. *)
+(** Internal canonicalization and key-packing machinery under stable
+    constructors, so the test suite can state the canonicalization laws —
+    idempotence, invariance under waiter relabelings, pinned slots never
+    moved, hash and key computed through the permutation agreeing with the
+    materialized array — and the packing law — two keys are equal iff
+    their states are — directly against the production comparator, sort,
+    permutation and encoder.  Not for production use. *)
 module Testing : sig
   type slot
-  (** One process's control point as the fingerprint sees it. *)
+  (** One process's control point as the dedup key sees it. *)
 
   val idle : begun:int -> last:Op.value option -> slot
 
@@ -242,14 +250,31 @@ module Testing : sig
   (** [hash (fst (canonicalize ~symmetry a))], computed as the search does:
       through the permutation, without building the canonical array. *)
 
+  type ids
+  (** The task-local ids a key writes for labels and response lists, as
+      one search task assigns them. *)
+
+  val ids : unit -> ids
+  (** Fresh ids, as a new search task starts with. *)
+
+  val key :
+    ?ids:ids -> symmetry:Sim.Pid_set.t -> Memory.t -> slot array -> string
+  (** The packed key the search stores for the state with this memory and
+      these slots: canonicalized under [symmetry], encoded through the
+      permutation.  Keys compare meaningfully only under the same [ids];
+      the default is one set shared by every call in the process. *)
+
   val canonical_equal : symmetry:Sim.Pid_set.t -> slot array -> slot array -> bool
   (** [canonical_equal ~symmetry a key] is [equal (fst (canonicalize
       ~symmetry a)) key], decided as the search decides it against a
-      stored key: through the permutation, without building the canonical
-      array. *)
+      stored key: by comparing [a]'s packed key, encoded through the
+      permutation, with the one stored for [key] (both over an empty
+      memory). *)
 
   val equal : slot array -> slot array -> bool
-  (** The fingerprint's exact metadata equality. *)
+  (** Structural equality of the fields a key encodes (labels, seqs,
+      responses, snapshots; begun counts and last results) — the reference
+      the packed keys are tested against. *)
 
   val slot_equal : slot -> slot -> bool
 

@@ -68,41 +68,48 @@ let grow_slots t =
   t.mask <- mask;
   t.resizes <- t.resizes + 1
 
+(* A new key at empty slot [i]: [make probe] builds it, and it takes the
+   next id. *)
+let insert t ~hash ~make probe i saw_hash =
+  if saw_hash then t.collisions <- t.collisions + 1;
+  let key = make probe in
+  let id = t.next in
+  t.next <- id + 1;
+  if id = 0 then t.keys <- Array.make 16 key
+  else if id >= Array.length t.keys then begin
+    let keys = Array.make (2 * Array.length t.keys) key in
+    Array.blit t.keys 0 keys 0 id;
+    t.keys <- keys
+  end;
+  t.keys.(id) <- key;
+  t.hashes.(i) <- hash;
+  t.ids.(i) <- id;
+  (* keep the load factor under 1/2 so probe runs stay short *)
+  if 2 * t.next > t.mask then grow_slots t;
+  id
+
 (* The one probe loop behind both entry points: [equal stored probe]
    confirms a hash match, and [make probe] builds the key to store only
-   when the probe is new. *)
-let intern_with t ~hash ~equal ~make probe =
-  let mask = t.mask in
-  let hashes = t.hashes and ids = t.ids in
-  (* [saw_hash]: a slot with this full hash but a different key exists —
-     a genuine collision, counted once per newly interned key. *)
-  let rec go i saw_hash =
-    let id = ids.(i) in
-    if id < 0 then begin
-      if saw_hash then t.collisions <- t.collisions + 1;
-      let key = make probe in
-      let id = t.next in
-      t.next <- id + 1;
-      if id = 0 then t.keys <- Array.make 16 key
-      else if id >= Array.length t.keys then begin
-        let keys = Array.make (2 * Array.length t.keys) key in
-        Array.blit t.keys 0 keys 0 id;
-        t.keys <- keys
-      end;
-      t.keys.(id) <- key;
-      hashes.(i) <- hash;
-      ids.(i) <- id;
-      (* keep the load factor under 1/2 so probe runs stay short *)
-      if 2 * t.next > mask then grow_slots t;
-      id
-    end
-    else if hashes.(i) = hash then
-      if equal t.keys.(id) probe then id else go ((i + 1) land mask) true
-    else go ((i + 1) land mask) saw_hash
-  in
-  go (hash land mask) false
+   when the probe is new.  [saw_hash]: a slot with this full hash but a
+   different key exists — a genuine collision, counted once per newly
+   interned key.  Top-level rather than a local closure, so a probe
+   allocates nothing. *)
+let rec probe t ~hash ~equal ~make p i saw_hash =
+  let id = t.ids.(i) in
+  if id < 0 then insert t ~hash ~make p i saw_hash
+  else if t.hashes.(i) = hash then
+    if equal t.keys.(id) p then id
+    else probe t ~hash ~equal ~make p ((i + 1) land t.mask) true
+  else probe t ~hash ~equal ~make p ((i + 1) land t.mask) saw_hash
+
+let intern_with t ~hash ~equal ~make p =
+  probe t ~hash ~equal ~make p (hash land t.mask) false
 
 let intern t ~hash key = intern_with t ~hash ~equal:t.equal ~make:Fun.id key
+
+let key t id =
+  if id < 0 || id >= t.next then invalid_arg "Fp_intern.key";
+  t.keys.(id)
 
 let distinct t = t.next
 

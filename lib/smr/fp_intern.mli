@@ -2,7 +2,9 @@
     identified values.
 
     {!Smr.Explore} identifies each search state by an incrementally
-    maintained integer hash plus an exact (structural) key.  An interning
+    maintained integer hash plus an exact key, a packed byte string.  It
+    also interns the label strings and response lists that key refers
+    to, and hash-conses its sleep-set antichains.  An interning
     table turns that pair into a small int id, so the visited-state table
     and its sleep-set entries hash and compare on ints; the exact key is
     consulted only when two states share a hash — a revisit or a genuine
@@ -26,9 +28,13 @@ val intern_with :
     stands for, where [equal key probe] decides whether a stored key with
     the same [hash] is that key, and [make probe] builds it — called only
     when no stored key matches, i.e. when a new id is assigned.  The
-    explorer probes with a state and a permutation and materializes the
-    relabeled key only on a miss.  [intern t ~hash key] is
+    explorer probes with a state's packed key in scratch bytes and copies
+    it out to a string only on a miss.  [intern t ~hash key] is
     [intern_with t ~hash ~equal:(the table's equal) ~make:Fun.id key]. *)
+
+val key : 'a t -> int -> 'a
+(** The key interned under the id.  Raises [Invalid_argument] on an id
+    not yet assigned. *)
 
 val distinct : 'a t -> int
 (** Number of distinct keys interned so far (= the next id). *)

@@ -141,14 +141,19 @@ let dump t =
    from a fresh cell are omitted, so a store written back to its initial
    value fingerprints identically to one never touched.  Last-writer and
    writer-set bookkeeping is deliberately excluded: it feeds the Section 6
-   analyses, not operation responses. *)
-let fingerprint t =
+   analyses, not operation responses.  [fold_observable] is the one walk
+   that applies this rule; [fingerprint] and the explorer's packed dedup
+   key are both built from it. *)
+let fold_observable f t init =
+  let layout = t.layout in
   Addr_map.fold
     (fun a c acc ->
-      if fresh_like t.layout a c then acc
-      else (a, c.value, Pid_set.elements c.links) :: acc)
-    t.cells []
-  |> List.rev
+      if fresh_like layout a c then acc
+      else f a c.value (Pid_set.elements c.links) acc)
+    t.cells init
+
+let fingerprint t =
+  List.rev (fold_observable (fun a v links acc -> (a, v, links) :: acc) t [])
 
 (* --- constant-time behavioral summary (the explorer's hot path) --- *)
 
@@ -158,10 +163,9 @@ let fp_hash t = t.fp_hash
    operation sequence — i.e. their {!fingerprint}s are equal — decided
    without building either fingerprint list.  Cells absent from one side
    compare against the other's fresh view, so a store written back to its
-   initial state equals one never touched.  Cost is O(cells) on the first
-   structural mismatch-free walk, but the explorer only calls this to
-   confirm a hash match, so the common path is two stores that really are
-   equal and share most of their (persistent) spine. *)
+   initial state equals one never touched.  Cost is O(cells); the [==]
+   shortcuts make the cells two related (persistent) stores share cheap
+   to compare. *)
 let same_fingerprint t1 t2 =
   t1.cells == t2.cells
   || (t1.fp_hash = t2.fp_hash

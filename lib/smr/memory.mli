@@ -47,17 +47,26 @@ val fingerprint : t -> (Op.addr * Op.value * Op.pid list) list
     address order, with cells indistinguishable from their initial state
     omitted.  Two memories with equal fingerprints respond identically to
     every subsequent operation sequence.  Building the list walks every
-    touched cell; the explorer's hot path uses {!fp_hash} and
-    {!same_fingerprint} instead and never materializes it. *)
+    touched cell; the explorer hashes with {!fp_hash} and packs the same
+    cells through {!fold_observable}, never materializing it. *)
+
+val fold_observable :
+  (Op.addr -> Op.value -> Op.pid list -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_observable f t init] folds [f addr value links] over exactly the
+    cells {!fingerprint} lists, in the same (address) order, [links] being
+    the ascending pids holding a valid load-link.  It builds no
+    fingerprint list, and a cell without links passes [[]], so the
+    explorer packs its dedup keys from it directly. *)
 
 val fp_hash : t -> int
 (** Running hash of the behavioral {!fingerprint}, maintained incrementally
     (an O(1) delta per {!apply}), so reading it is constant-time.  Equal
     fingerprints always hash equally; unequal fingerprints may collide, so
-    a hash match must be confirmed with {!same_fingerprint}. *)
+    a hash match must be confirmed exactly: by {!same_fingerprint}, or by
+    comparing what {!fold_observable} yields. *)
 
 val same_fingerprint : t -> t -> bool
 (** Whether the two stores (over the same layout) have equal behavioral
     {!fingerprint}s — decided by direct comparison of the cell maps, with
-    fresh-cell elision, without building either list.  This is the exact
-    collision-confirmation step behind {!fp_hash}. *)
+    fresh-cell elision, without building either list.  An exact
+    confirmation of an {!fp_hash} match. *)

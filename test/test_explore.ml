@@ -409,9 +409,9 @@ let test_detect_symmetry_stuck_leaves () =
     (Sim.Pid_set.cardinal
        (Explore.detect_symmetry ~values [ (1, ("p", strict ())); (2, ("p", lenient)) ]))
 
-(* The search never builds a canonical key just to probe with it: the
-   state hash and the comparison against stored keys run through the
-   permutation.  Both must agree with the materialized canonical array. *)
+(* The search never builds a canonical array: the state hash and the
+   packed key are computed through the permutation.  Both must agree with
+   the materialized canonical array. *)
 let check_through_perm what ~symmetry meta =
   let open Explore.Testing in
   let canon = fst (canonicalize ~symmetry meta) in
@@ -510,6 +510,231 @@ let test_canonicalization_pins_asymmetric_slots () =
   let canon', moved' = canonicalize ~symmetry flipped in
   check_true "orbit twin canonicalizes identically" (equal canon canon');
   check_false "the already-sorted twin needs no relabeling" moved'
+
+(* --- packed dedup keys --- *)
+
+(* Random states for the packing law: slots drawn from a pool of boundary
+   values (zigzag sign, LEB128 byte widths, the low byte alone), labels
+   from three strings, memories from writes, write-backs to the initial
+   value and load-links over a four-cell layout. *)
+let key_values = [ min_int; -129; -1; 0; 1; 127; 128; 255; 256; 16384; max_int ]
+
+let key_labels = [ "Poll"; "Signal"; "Wait" ]
+
+type kslot =
+  | K_idle of int * int option
+  | K_running of string * int * int list * int array
+
+type kmem = K_write of int * int | K_back of int | K_ll of int * int
+
+type kstate = { k_slots : kslot array; k_mem : kmem list }
+
+let key_layout, key_cells =
+  let ctx = Var.Ctx.create () in
+  let v =
+    Var.Ctx.int_vec ctx ~name:"K" ~home:(fun _ -> Var.Shared) 4 (fun i ->
+        List.nth [ 0; 1; 255; 16384 ] i)
+  in
+  (Var.Ctx.freeze ctx, Array.init 4 (Var.vec_addr v))
+
+let kmem ops =
+  List.fold_left
+    (fun m op ->
+      let inv =
+        match op with
+        | K_write (c, v) -> Op.Write (key_cells.(c), v)
+        | K_back c ->
+          Op.Write (key_cells.(c), Var.layout_init key_layout key_cells.(c))
+        | K_ll (c, _) -> Op.Ll key_cells.(c)
+      in
+      let pid = match op with K_ll (_, p) -> p | K_write _ | K_back _ -> 0 in
+      (Memory.apply m ~pid inv).Memory.memory)
+    (Memory.create key_layout) ops
+
+(* Fresh label strings, so equal labels are never merely physically
+   equal. *)
+let kslots st =
+  Array.map
+    (function
+      | K_idle (b, r) -> Explore.Testing.idle ~begun:b ~last:r
+      | K_running (l, seq, resps, snap) ->
+        Explore.Testing.running ~label:(Bytes.to_string (Bytes.of_string l))
+          ~seq ~resps_rev:resps ~snap)
+    st.k_slots
+
+let gen_kslot n =
+  let open QCheck.Gen in
+  let v = oneofl key_values in
+  frequency
+    [ (1, map2 (fun b r -> K_idle (b, r)) v (opt v));
+      ( 2,
+        map4
+          (fun l seq resps snap -> K_running (l, seq, resps, snap))
+          (oneofl key_labels) v
+          (list_size (int_bound 8) v)
+          (array_size (return n) v) ) ]
+
+let gen_kmem =
+  let open QCheck.Gen in
+  let c = int_bound 3 in
+  list_size (int_bound 5)
+    (frequency
+       [ (2, map2 (fun c v -> K_write (c, v)) c (oneofl key_values));
+         (1, map (fun c -> K_back c) c);
+         (1, map2 (fun c p -> K_ll (c, p)) c (int_bound 4)) ])
+
+let gen_kstate n =
+  QCheck.Gen.map2
+    (fun k_slots k_mem -> { k_slots; k_mem })
+    (QCheck.Gen.array_size (QCheck.Gen.return n) (gen_kslot n))
+    gen_kmem
+
+(* [st] with its slots relabeled by [perm] (old pid -> new pid), the
+   snapshots re-indexed alike. *)
+let krelabel perm st =
+  let n = Array.length st.k_slots in
+  let out = Array.make n (K_idle (0, None)) in
+  Array.iteri
+    (fun p sl ->
+      out.(perm.(p)) <-
+        (match sl with
+        | K_idle _ -> sl
+        | K_running (l, seq, resps, snap) ->
+          let snap' = Array.make n 0 in
+          Array.iteri (fun q x -> snap'.(perm.(q)) <- x) snap;
+          K_running (l, seq, resps, snap')))
+    st.k_slots;
+  { st with k_slots = out }
+
+(* One small change to one field, which may or may not change the state
+   (a value can be redrawn as itself). *)
+let gen_kmutation st =
+  let open QCheck.Gen in
+  let n = Array.length st.k_slots in
+  let v = oneofl key_values in
+  let set i sl =
+    let a = Array.copy st.k_slots in
+    a.(i) <- sl;
+    { st with k_slots = a }
+  in
+  int_bound (n - 1) >>= fun i ->
+  frequency
+    [ ( 3,
+        match st.k_slots.(i) with
+        | K_idle (b, r) ->
+          oneof
+            [ map (fun b -> set i (K_idle (b, r))) v;
+              map (fun r -> set i (K_idle (b, r))) (opt v) ]
+        | K_running (l, seq, resps, snap) ->
+          oneof
+            [ map
+                (fun l -> set i (K_running (l, seq, resps, snap)))
+                (oneofl key_labels);
+              map (fun seq -> set i (K_running (l, seq, resps, snap))) v;
+              map (fun x -> set i (K_running (l, seq, x :: resps, snap))) v;
+              map
+                (fun x ->
+                  let resps = match resps with [] -> [ x ] | _ :: r -> x :: r in
+                  set i (K_running (l, seq, resps, snap)))
+                v;
+              map2
+                (fun j x ->
+                  let snap = Array.copy snap in
+                  snap.(j) <- x;
+                  set i (K_running (l, seq, resps, snap)))
+                (int_bound (n - 1)) v ] );
+      (1, map (fun op -> { st with k_mem = st.k_mem @ op }) gen_kmem) ]
+
+(* A state, a symmetry over waiters [1..n-1] (all, two, or none), and a
+   second state: an unrelated one, an orbit twin (its memory possibly
+   reached by a longer history), or an orbit twin with one field
+   changed. *)
+let gen_key_case =
+  let open QCheck.Gen in
+  int_range 3 5 >>= fun n ->
+  gen_kstate n >>= fun st ->
+  oneofl [ `All; `Two; `None ] >>= fun sym ->
+  let symmetric =
+    match sym with
+    | `All -> List.init (n - 1) (fun i -> i + 1)
+    | `Two -> [ 1; n - 1 ]
+    | `None -> []
+  in
+  shuffle_l symmetric >>= fun shuffled ->
+  let perm = Array.init n Fun.id in
+  List.iter2 (fun p q -> perm.(p) <- q) symmetric shuffled;
+  let twin = krelabel perm st in
+  (let extra_mem =
+     map (fun ops -> { twin with k_mem = twin.k_mem @ ops }) gen_kmem
+   in
+   frequency
+     [ (1, gen_kstate n);
+       (2, return twin);
+       (1, extra_mem);
+       (3, gen_kmutation twin) ])
+  >>= fun other -> return (symmetric, st, other)
+
+let pp_kstate st =
+  let slot = function
+    | K_idle (b, r) ->
+      Printf.sprintf "idle(%d,%s)" b
+        (match r with None -> "-" | Some v -> string_of_int v)
+    | K_running (l, seq, resps, snap) ->
+      Printf.sprintf "run(%s,%d,[%s],[%s])" l seq
+        (String.concat ";" (List.map string_of_int resps))
+        (String.concat ";" (Array.to_list (Array.map string_of_int snap)))
+  and op = function
+    | K_write (c, v) -> Printf.sprintf "w%d:=%d" c v
+    | K_back c -> Printf.sprintf "back%d" c
+    | K_ll (c, p) -> Printf.sprintf "ll%d@%d" c p
+  in
+  Printf.sprintf "[%s] mem[%s]"
+    (String.concat " " (Array.to_list (Array.map slot st.k_slots)))
+    (String.concat " " (List.map op st.k_mem))
+
+(* The packing law: two states' keys are equal exactly when their
+   memories have the same fingerprint and their canonical slot arrays are
+   structurally equal.  Fails for an encoder that drops a field, skips
+   load-links or truncates an int. *)
+let prop_packed_key_decides_equality =
+  qcheck ~count:2000 "packed key equality is state equality"
+    (QCheck.make
+       ~print:(fun (sym, a, b) ->
+         Printf.sprintf "symmetry {%s}\n  %s\n  %s"
+           (String.concat "," (List.map string_of_int sym))
+           (pp_kstate a) (pp_kstate b))
+       gen_key_case)
+    (fun (sym, a, b) ->
+      let open Explore.Testing in
+      let symmetry = Sim.Pid_set.of_list sym in
+      let ma = kmem a.k_mem and mb = kmem b.k_mem in
+      let sa = kslots a and sb = kslots b in
+      let same_key =
+        String.equal (key ~symmetry ma sa) (key ~symmetry mb sb)
+      in
+      same_key
+      = (Memory.same_fingerprint ma mb
+        && equal (fst (canonicalize ~symmetry sa))
+             (fst (canonicalize ~symmetry sb))))
+
+let test_spin_keys_small () =
+  (* A spinning call's responses are stored once per task and its key
+     holds their id: 500 responses pack no longer than 1. *)
+  let open Explore.Testing in
+  let ids = ids () in
+  let mem = Memory.create key_layout in
+  let state resps =
+    [| running ~label:"Signal" ~seq:0 ~resps_rev:[] ~snap:[| 0; 0; 0 |];
+       running ~label:"Poll" ~seq:1 ~resps_rev:resps ~snap:[| 0; 1; 0 |];
+       idle ~begun:0 ~last:None |]
+  in
+  let short = key ~ids ~symmetry:Sim.Pid_set.empty mem (state [ 0 ])
+  and long =
+    key ~ids ~symmetry:Sim.Pid_set.empty mem
+      (state (List.init 500 (fun _ -> 0)))
+  in
+  check_false "different states, different keys" (String.equal short long);
+  check_int "same key length" (String.length short) (String.length long)
 
 let test_symmetry_preserves_verdict () =
   let layout, scripts, symmetry =
@@ -816,6 +1041,9 @@ let suite =
       test_canonicalization_laws;
     case "canonicalization: pinned slots never move"
       test_canonicalization_pins_asymmetric_slots;
+    prop_packed_key_decides_equality;
+    case "packed keys: a spinning call's key does not grow"
+      test_spin_keys_small;
     case "symmetry preserves the verdict, shrinks the search"
       test_symmetry_preserves_verdict;
     case "mutation caught under symmetry at every jobs"

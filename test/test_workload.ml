@@ -216,6 +216,40 @@ let test_driver_allocation_bounded () =
       ("cc-flag", `Cc_wt, false, 41.0);
       ("cc-flag", `Cc_wt, true, 41.0) ]
 
+let test_explore_allocation_bounded () =
+  (* The explorer's steady state allocates a bounded constant per search
+     state: the child node and its copied metadata, the moves and sleep
+     sets, the memory and cost-model steps — and no dedup key beyond its
+     packed string.  Measured with a monolithic search (split depth 0)
+     after a warm-up run: 184.7 words/state for cc-flag with 4 waiters and
+     2 polls, 154.3 for dsm-broadcast with 2 waiters and 3 polls.  When
+     the table stored the live metadata array and memory they were 226.9
+     and 175.8, which both bounds reject. *)
+  let words_per_state (module A : Core.Signaling.POLLING) ~waiters ~polls =
+    let s =
+      { (Core.Exhaustive.setup (module A)) with
+        n = waiters + 1;
+        waiters;
+        polls;
+        split_depth = 0 }
+    in
+    let prepared = Core.Exhaustive.prepare s in
+    ignore (Core.Exhaustive.search s prepared) (* warm-up *);
+    let w0 = Gc.minor_words () in
+    let r = Core.Exhaustive.search s prepared in
+    let states = r.Smr.Explore.stats.Smr.Explore.states in
+    (Gc.minor_words () -. w0) /. float_of_int states
+  in
+  List.iter
+    (fun (name, m, waiters, polls, bound) ->
+      let w = words_per_state m ~waiters ~polls in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, %d waiters, %d polls: %.1f words/state < %.0f"
+           name waiters polls w bound)
+        true (w < bound))
+    [ ("cc-flag", (module Core.Cc_flag : Core.Signaling.POLLING), 4, 2, 195.0);
+      ("dsm-broadcast", (module Core.Dsm_broadcast), 2, 3, 162.0) ]
+
 let test_timeline_sampled () =
   (* Rendering a history bigger than the caps degrades to a sample with an
      explicit marker, and the default caps leave small runs untouched. *)
@@ -265,4 +299,6 @@ let suite =
       test_driver_spec_verdict_detects_violations;
     case "driver: steady-state allocation bounded"
       test_driver_allocation_bounded;
+    case "explore: per-state allocation bounded"
+      test_explore_allocation_bounded;
     case "timeline: huge histories render sampled" test_timeline_sampled ]
