@@ -26,6 +26,16 @@ let explore ~algorithm ~n ~waiters ~polls () =
     (Core.Exhaustive.table setup prepared
        (Core.Exhaustive.search setup prepared))
 
+(* The event stream of `separation trace -a ALGO -n N -m MODEL`, as the
+   CLI renders it with [sink]. *)
+let trace ~algorithm ~n ~model sink () =
+  let m = Option.get (Core.Experiment.find_algorithm algorithm) in
+  let module A = (val m : Core.Signaling.POLLING) in
+  let tr = Obs.Trace.create () in
+  let cfg = Core.Experiment.config_for m ~n in
+  let _ = Core.Scenario.run_phased (module A) ~model ~cfg ~tracer:tr () in
+  sink (Obs.Trace.events tr)
+
 let fixtures =
   [ ( "test/golden/explore_cc_flag.json",
       explore ~algorithm:"cc-flag" ~n:5 ~waiters:4 ~polls:2 );
@@ -68,15 +78,18 @@ let fixtures =
       (* Byte-identical to `separation trace -a cc-flag -n 4 --format
          jsonl`, so CI can diff the command's raw output against this
          file; test_trace.ml pins the same bytes from the library side. *)
-      fun () ->
-        let m = Option.get (Core.Experiment.find_algorithm "cc-flag") in
-        let module A = (val m : Core.Signaling.POLLING) in
-        let tr = Obs.Trace.create () in
-        let cfg = Core.Experiment.config_for m ~n:4 in
-        let _ =
-          Core.Scenario.run_phased (module A) ~model:`Dsm ~cfg ~tracer:tr ()
-        in
-        Obs.Sink_jsonl.to_string (Obs.Trace.events tr) );
+      trace ~algorithm:"cc-flag" ~n:4 ~model:`Dsm Obs.Sink_jsonl.to_string );
+    ( "test/golden/trace_cas_register_lfcu.jsonl",
+      (* `separation trace -a cas-register -n 4 -m cc-lfcu --format jsonl`:
+         the cache events (fetch, update) the CC cost model emits inside a
+         traced step, at the step's tick. *)
+      trace ~algorithm:"cas-register" ~n:4 ~model:`Cc_lfcu
+        Obs.Sink_jsonl.to_string );
+    ( "test/golden/trace_cc_flag_wb.chrome.json",
+      (* `separation trace -a cc-flag -n 8 -m cc-wb --format chrome`:
+         write-back fetch and invalidate events on the machine lanes. *)
+      trace ~algorithm:"cc-flag" ~n:8 ~model:`Cc_wb Obs.Sink_chrome.to_string
+    );
     (* Chrome sink edge cases, pinned by test_trace.ml: an empty stream
        still renders a loadable document; a single event carries exactly
        its own track metadata; simultaneous events from two pids keep

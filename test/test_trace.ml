@@ -139,6 +139,20 @@ let test_jsonl_golden () =
     (read_file "golden/trace_cc_flag.jsonl")
     (Obs.Sink_jsonl.to_string (Obs.Trace.events tr))
 
+let test_cc_trace_goldens () =
+  (* The CC cost model's cache events, interleaved with the machine's at
+     each step's tick: `trace -a cas-register -n 4 -m cc-lfcu --format
+     jsonl` (fetch, update) and `trace -a cc-flag -n 8 -m cc-wb --format
+     chrome` (fetch, invalidate).  CI diffs the CLI output against both. *)
+  let tr, _ = traced ~model:`Cc_lfcu ~n:4 "cas-register" in
+  Alcotest.(check string) "trace_cas_register_lfcu.jsonl byte-identical"
+    (read_file "golden/trace_cas_register_lfcu.jsonl")
+    (Obs.Sink_jsonl.to_string (Obs.Trace.events tr));
+  let tr, _ = traced ~model:`Cc_wb ~n:8 "cc-flag" in
+  Alcotest.(check string) "trace_cc_flag_wb.chrome.json byte-identical"
+    (read_file "golden/trace_cc_flag_wb.chrome.json")
+    (Obs.Sink_chrome.to_string (Obs.Trace.events tr))
+
 (* --- schema coverage per instrumented layer --- *)
 
 let count_by pred tr = List.length (List.filter pred (Obs.Trace.events tr))
@@ -264,6 +278,7 @@ let suite =
     case "sink rendering independent of parallel map"
       test_render_jobs_deterministic;
     case "jsonl golden fixture" test_jsonl_golden;
+    case "cc trace golden fixtures" test_cc_trace_goldens;
     case "chrome sink edge-case goldens" test_chrome_edge_goldens;
     case "cc models emit cache events, dsm none" test_cc_emits_cache_events;
     case "call begin/end events balanced" test_call_events_balanced;
