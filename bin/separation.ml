@@ -35,12 +35,16 @@ let algo =
     & opt (some algo_conv) None
     & info [ "a"; "algorithm" ] ~docv:"NAME" ~doc:"Signaling algorithm to run.")
 
-let model =
+(* [Some] exactly when -m/--model was given, so a command that always
+   runs in DSM can refuse another model instead of ignoring it. *)
+let model_flag =
   Arg.(
     value
-    & opt model_conv `Dsm
+    & opt (some ~none:"dsm" model_conv) None
     & info [ "m"; "model" ] ~docv:"MODEL"
         ~doc:"Cost model: dsm, cc-wt, cc-wb or cc-lfcu.")
+
+let model = Term.(const (Option.value ~default:`Dsm) $ model_flag)
 
 let n_arg =
   Arg.(value & opt int 16 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
@@ -52,6 +56,17 @@ let accept ~cmd = function
   | Error msg ->
     Fmt.epr "separation: %s: %s@." cmd msg;
     exit 2
+
+(* The Section 6 construction always runs in DSM ([mode] names the flag
+   that selects it): another -m is refused, not silently ignored. *)
+let dsm_only ~cmd ~mode = function
+  | None | Some `Dsm -> ()
+  | Some m ->
+    accept ~cmd
+      (Error
+         (Printf.sprintf "%s always runs in the DSM model, got --model %s"
+            mode
+            (Core.Scenario.model_tag_name m)))
 
 let run_cmd =
   let waiters =
@@ -344,6 +359,7 @@ let adversary_cmd =
       seed depth model =
     match strategy with
     | `Section6 ->
+      dsm_only ~cmd:"adversary" ~mode:"--strategy section6" model;
       let r =
         section6 ~cmd:"adversary" (module A) ~n ~max_rounds:rounds
           ~stability_polls:polls ()
@@ -362,8 +378,8 @@ let adversary_cmd =
             (fun d ->
               accept ~cmd:"adversary" (Core.Signaling.at_least 1 "--depth" d))
             depth;
-          Core.Adversary.run_pct (module A) ~n ~seed ?depth ~model ()
-        | `Walk -> Core.Adversary.run_walk (module A) ~n ~seed ~model ()
+          Core.Adversary.run_pct (module A) ~n ~seed ?depth ?model ()
+        | `Walk -> Core.Adversary.run_walk (module A) ~n ~seed ?model ()
       in
       Fmt.pr "%a" Core.Adversary.pp_random_outcome r;
       if trace then begin
@@ -381,12 +397,12 @@ let adversary_cmd =
           Specification 4.1.")
     Term.(
       const run $ algo $ n_arg $ rounds $ polls $ trace $ strategy $ seed
-      $ depth $ model)
+      $ depth $ model_flag)
 
 (* `trace` replays a scenario (or the adversary construction) with the
    observability layer attached and dumps the event stream.  Everything on
    stdout is keyed by the logical event clock, so the bytes are identical
-   for every --jobs level and across hosts — CI diffs them. *)
+   across runs and hosts — CI diffs them against golden files. *)
 let trace_cmd =
   let adversary =
     Arg.(
@@ -394,8 +410,8 @@ let trace_cmd =
       & info [ "adversary" ]
           ~doc:
             "Trace the Section 6 adversary construction instead of the \
-             phased scenario.  Always runs in the DSM model; $(b,--model) \
-             is ignored.")
+             phased scenario.  Always runs in the DSM model; another \
+             $(b,--model) is refused.")
   in
   let format =
     Arg.(
@@ -418,33 +434,25 @@ let trace_cmd =
              (counters and histograms; wall-time metrics excluded, so the \
              table is deterministic) on stderr.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"J"
-          ~doc:
-            "Domains used to render the stream.  The output bytes are \
-             identical for every value.")
-  in
   let run (module A : Core.Signaling.POLLING) model n adversary format metrics
-      jobs =
+      =
     let tr = Obs.Trace.create () in
-    if adversary then
+    if adversary then begin
+      dsm_only ~cmd:"trace" ~mode:"--adversary" model;
       ignore (section6 ~cmd:"trace" (module A) ~n ~tracer:tr ())
+    end
     else begin
       accept ~cmd:"trace" (Core.Signaling.at_least 1 "-n" n);
       let cfg = Core.Experiment.config_for (module A) ~n in
+      let model = Option.value model ~default:`Dsm in
       ignore (Core.Scenario.run_phased (module A) ~model ~cfg ~tracer:tr ())
     end;
     let events = Obs.Trace.events tr in
-    (* Rendering is per-event pure, so an ordered parallel map yields the
-       same bytes as List.map. *)
-    let map f evs = Core.Parallel.map ~jobs f evs in
     print_string
       (match format with
-      | `Jsonl -> Obs.Sink_jsonl.to_string ~map events
-      | `Chrome -> Obs.Sink_chrome.to_string ~map events
-      | `Text -> Obs.Sink_text.to_string ~map events);
+      | `Jsonl -> Obs.Sink_jsonl.to_string events
+      | `Chrome -> Obs.Sink_chrome.to_string events
+      | `Text -> Obs.Sink_text.to_string events);
     if metrics then
       Fmt.epr "%s"
         (Core.Report.to_string
@@ -457,8 +465,7 @@ let trace_cmd =
          "Re-run a scenario with the deterministic tracing layer attached \
           and dump the per-RMR event stream (JSONL, Chrome trace_event \
           JSON, or text).")
-    Term.(
-      const run $ algo $ model $ n_arg $ adversary $ format $ metrics $ jobs)
+    Term.(const run $ algo $ model_flag $ n_arg $ adversary $ format $ metrics)
 
 (* The registry-driven table pipeline: `tables` resolves ids against
    Core.Experiment_registry, fans the runs out across domains, and renders

@@ -560,28 +560,32 @@ let run (module A : Signaling.POLLING) ~n ?tracer ?(stability_polls = 3)
   let st, round_stats, stabilized = rounds st [] 0 in
   let finished q = Pid_set.mem q st.fin in
   let part1_regular = History.is_regular (Sim.steps st.sim) ~finished in
-  match stabilized with
-  | None ->
-    (* The construction failed to stabilize the waiters within the round
-       budget — report what happened without a chase. *)
+  (* The result, over the machine the construction stopped with. *)
+  let result st ~stable_waiters ~chase ~spec_violated =
     let participants = Pid_set.cardinal (Sim.participants st.sim) in
     let total_rmrs = Sim.total_rmrs st.sim in
     { algorithm = A.name;
       n;
       rounds = round_stats;
-      stable_waiters = 0;
+      stable_waiters;
       finished = Pid_set.cardinal st.fin;
       part1_regular;
-      chase = None;
+      chase;
       participants;
       total_rmrs;
       amortized =
         (if participants = 0 then 0.
          else float_of_int total_rmrs /. float_of_int participants);
-      spec_violated = false;
+      spec_violated;
       spurious_true = st.spurious;
       final_sim = st.sim }
-  | Some stable_waiters ->
+  in
+  match stabilized with
+  | None ->
+    (* The construction failed to stabilize the waiters within the round
+       budget — report what happened without a chase. *)
+    result st ~stable_waiters:0 ~chase:None ~spec_violated:false
+  | Some stable_waiters -> (
     (* Let each stable process run solo to the end of its pending call;
        stability means this costs no RMRs. *)
     let st =
@@ -589,61 +593,23 @@ let run (module A : Signaling.POLLING) ~n ?tracer ?(stability_polls = 3)
         (fun p st -> { st with sim = Sim.run_to_idle ~fuel st.sim p })
         st.active st
     in
-    let chase_result =
-      match choose_signaler st with
-      | None -> None
-      | Some s ->
-        (* If the signaler is drafted from the stable waiters, it stops
-           being a chase target itself. *)
-        decide st ~decision:"signaler" ~pid:s ~detail:"";
-        let st = { st with active = Pid_set.remove s st.active } in
-        let st', erased, failures = goose_chase ~fuel st s in
-        Some (st', s, erased, failures)
-    in
-    (match chase_result with
-    | None ->
-      let participants = Pid_set.cardinal (Sim.participants st.sim) in
-      let total_rmrs = Sim.total_rmrs st.sim in
-      { algorithm = A.name;
-        n;
-        rounds = round_stats;
-        stable_waiters;
-        finished = Pid_set.cardinal st.fin;
-        part1_regular;
-        chase = None;
-        participants;
-        total_rmrs;
-        amortized =
-          (if participants = 0 then 0.
-           else float_of_int total_rmrs /. float_of_int participants);
-        spec_violated = false;
-        spurious_true = st.spurious;
-        final_sim = st.sim }
-    | Some (st, s, erased, failures) ->
+    match choose_signaler st with
+    | None -> result st ~stable_waiters ~chase:None ~spec_violated:false
+    | Some s ->
+      (* If the signaler is drafted from the stable waiters, it stops
+         being a chase target itself. *)
+      decide st ~decision:"signaler" ~pid:s ~detail:"";
+      let st = { st with active = Pid_set.remove s st.active } in
+      let st, erased, failures = goose_chase ~fuel st s in
       let spec_violated = validate_survivors ~fuel st in
-      let participants = Pid_set.cardinal (Sim.participants st.sim) in
-      let total_rmrs = Sim.total_rmrs st.sim in
-      { algorithm = A.name;
-        n;
-        rounds = round_stats;
-        stable_waiters;
-        finished = Pid_set.cardinal st.fin;
-        part1_regular;
-        chase =
-          Some
-            { signaler = s;
-              signaler_rmrs = Sim.rmrs st.sim s;
-              chase_erased = erased;
-              chase_erase_failures = failures;
-              signaler_steps = Sim.step_count st.sim s };
-        participants;
-        total_rmrs;
-        amortized =
-          (if participants = 0 then 0.
-           else float_of_int total_rmrs /. float_of_int participants);
-        spec_violated;
-        spurious_true = st.spurious;
-        final_sim = st.sim })
+      result st ~stable_waiters ~spec_violated
+        ~chase:
+          (Some
+             { signaler = s;
+               signaler_rmrs = Sim.rmrs st.sim s;
+               chase_erased = erased;
+               chase_erase_failures = failures;
+               signaler_steps = Sim.step_count st.sim s }))
 
 let pp_round ppf r =
   Fmt.pf ppf
@@ -694,7 +660,7 @@ type random_outcome = {
 }
 
 let run_randomized policy (module A : Signaling.POLLING) ~n ~seed ?cfg ?model
-    ?tracer ?signal_after ?max_events () =
+    ?signal_after ?max_events () =
   let cfg =
     match cfg with Some c -> c | None -> Algorithms.config_for (module A) ~n
   in
@@ -702,12 +668,12 @@ let run_randomized policy (module A : Signaling.POLLING) ~n ~seed ?cfg ?model
   let outcome =
     Scenario.run_random
       (module A)
-      ~model ~cfg ~seed ?tracer ~policy ?signal_after ?max_events ()
+      ~model ~cfg ~seed ~policy ?signal_after ?max_events ()
   in
   { ro_policy = Schedule.policy_name policy; ro_seed = seed; ro_outcome = outcome }
 
 let run_pct (module A : Signaling.POLLING) ~n ~seed ?(depth = 3) ?horizon ?cfg
-    ?model ?tracer ?signal_after ?max_events () =
+    ?model ?signal_after ?max_events () =
   let horizon =
     match horizon with
     | Some h -> h
@@ -723,14 +689,14 @@ let run_pct (module A : Signaling.POLLING) ~n ~seed ?(depth = 3) ?horizon ?cfg
   run_randomized
     (Schedule.Pct { seed; depth; horizon })
     (module A)
-    ~n ~seed ?cfg ?model ?tracer ?signal_after ~max_events ()
+    ~n ~seed ?cfg ?model ?signal_after ~max_events ()
 
-let run_walk (module A : Signaling.POLLING) ~n ~seed ?cfg ?model ?tracer
+let run_walk (module A : Signaling.POLLING) ~n ~seed ?cfg ?model
     ?signal_after ?max_events () =
   run_randomized
     (Schedule.Random_seed seed)
     (module A)
-    ~n ~seed ?cfg ?model ?tracer ?signal_after ?max_events ()
+    ~n ~seed ?cfg ?model ?signal_after ?max_events ()
 
 let pp_random_outcome ppf r =
   let o = r.ro_outcome in

@@ -135,7 +135,6 @@ val run_pct :
   ?horizon:int ->
   ?cfg:Signaling.config ->
   ?model:Scenario.model_tag ->
-  ?tracer:Obs.Trace.t ->
   ?signal_after:int ->
   ?max_events:int ->
   unit ->
@@ -152,7 +151,6 @@ val run_walk :
   seed:int ->
   ?cfg:Signaling.config ->
   ?model:Scenario.model_tag ->
-  ?tracer:Obs.Trace.t ->
   ?signal_after:int ->
   ?max_events:int ->
   unit ->

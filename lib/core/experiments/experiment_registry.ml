@@ -1,6 +1,6 @@
 (* The experiment registry.  One registration line per experiment. *)
 
-let builtin : Experiment_def.spec list =
+let specs : Experiment_def.spec list =
   [ E1_cc_flag.spec;
     E2_adversary.spec;
     E3_landscape.spec;
@@ -17,9 +17,7 @@ let builtin : Experiment_def.spec list =
     E14_amortized.spec;
     E15_churn.spec ]
 
-let extras : Experiment_def.spec list ref = ref []
-
-let all () = builtin @ List.rev !extras
+let all () = specs
 
 let ids () = List.map (fun s -> s.Experiment_def.id) (all ())
 
@@ -33,9 +31,3 @@ let find_exn id =
     invalid_arg
       (Printf.sprintf "unknown experiment %S; valid ids: %s" id
          (String.concat " " (ids ())))
-
-let register spec =
-  let id = spec.Experiment_def.id in
-  if find id <> None then
-    invalid_arg (Printf.sprintf "experiment %S is already registered" id)
-  else extras := spec :: !extras

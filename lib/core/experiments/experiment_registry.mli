@@ -4,12 +4,10 @@
     The CLI ([separation tables]), the bench harness, the examples and the
     tests all enumerate {!all}; an experiment is one module under
     [lib/core/experiments/] exposing an {!Experiment_def.spec} plus one
-    line in this module's built-in list (or a {!register} call from
-    outside the library). *)
+    line in this module's list. *)
 
 val all : unit -> Experiment_def.spec list
-(** Built-in experiments (e1..e13) in presentation order, followed by any
-    {!register}ed extras in registration order. *)
+(** The experiments (e1..e15) in presentation order. *)
 
 val ids : unit -> string list
 
@@ -18,7 +16,3 @@ val find : string -> Experiment_def.spec option
 val find_exn : string -> Experiment_def.spec
 (** Raises [Invalid_argument] with a message listing the valid ids —
     unknown experiment names are a hard error everywhere. *)
-
-val register : Experiment_def.spec -> unit
-(** Add an out-of-library experiment.  Raises [Invalid_argument] on a
-    duplicate id. *)

@@ -20,19 +20,13 @@ val default_jobs : unit -> int
 
 val run :
   ?jobs:int ->
-  ?tracer:Obs.Trace.t ->
   ?size:Experiment_def.size ->
   Experiment_def.spec list ->
   outcome list
 (** [jobs] defaults to {!default_jobs}; [size] to [Default].  With at
     least two specs and [jobs > 1] the specs themselves are fanned out;
     with a single spec its internal parameter points are.  Expected-shape
-    predicates are evaluated only when [size = Default].
-
-    With [tracer], one {!Obs.Event.Runner_span} per experiment is emitted
-    after the parallel phase, in spec order, with synthetic ticks
-    (cumulative result rows) — so the trace is byte-identical for every
-    [jobs]. *)
+    predicates are evaluated only when [size = Default]. *)
 
 val tables : outcome list -> Results.table list
 

@@ -49,11 +49,10 @@ let model_tag_name : model_tag -> string = function
   | #named_model as tag -> (
     match cc_of_tag tag with Some (p, _) -> Cc.protocol_name p | None -> "dsm")
 
-let make_model ?tracer ~n layout tag =
+let make_model ~n layout tag =
   match cc_of_tag tag with
   | None -> Cost_model.dsm layout
-  | Some (protocol, interconnect) ->
-    Cc.model ?tracer ~protocol ~interconnect ~n ()
+  | Some (protocol, interconnect) -> Cc.model ~protocol ~interconnect ~n ()
 
 let summarize cfg sim ~unfinished =
   let calls = Sim.calls sim in
@@ -92,7 +91,7 @@ let run_phased (module A : Signaling.POLLING) ~model ~cfg ?tracer
   let participating =
     match active_waiters with Some l -> l | None -> cfg.Signaling.waiters
   in
-  let model = make_model ?tracer ~n:cfg.Signaling.n layout model in
+  let model = make_model ~n:cfg.Signaling.n layout model in
   let sim =
     Sim.with_tracer (Sim.create ~model ~layout ~n:cfg.Signaling.n) tracer
   in
@@ -143,13 +142,11 @@ let run_phased (module A : Signaling.POLLING) ~model ~cfg ?tracer
    fires once the event clock passes [signal_after].  Waiters poll until
    they see true, then stop.  [policy] overrides the uniform random walk —
    the PCT adversary passes [Schedule.Pct] here. *)
-let run_random (module A : Signaling.POLLING) ~model ~cfg ~seed ?tracer ?policy
+let run_random (module A : Signaling.POLLING) ~model ~cfg ~seed ?policy
     ?(signal_after = 50) ?(max_events = 200_000) () =
   let inst, layout = build (module A) cfg in
-  let model = make_model ?tracer ~n:cfg.Signaling.n layout model in
-  let sim =
-    Sim.with_tracer (Sim.create ~model ~layout ~n:cfg.Signaling.n) tracer
-  in
+  let model = make_model ~n:cfg.Signaling.n layout model in
+  let sim = Sim.create ~model ~layout ~n:cfg.Signaling.n in
   let is_signaler p = List.mem p cfg.Signaling.signalers in
   let signaled = Hashtbl.create 4 in
   let behavior sim p : Schedule.action =
@@ -182,15 +179,13 @@ let run_random (module A : Signaling.POLLING) ~model ~cfg ~seed ?tracer ?policy
 (* Blocking semantics: waiters call Wait() once — it returns only after a
    Signal() begins — while the signaler fires once the event clock passes
    [signal_after].  Checked against the blocking half of Spec. 4.1. *)
-let run_blocking (module A : Signaling.BLOCKING) ~model ~cfg ~seed ?tracer
+let run_blocking (module A : Signaling.BLOCKING) ~model ~cfg ~seed
     ?(signal_after = 60) ?(max_events = 500_000) () =
   let ctx = Var.Ctx.create () in
   let inst = Signaling.instantiate_blocking (module A) ctx cfg in
   let layout = Var.Ctx.freeze ctx in
-  let model = make_model ?tracer ~n:cfg.Signaling.n layout model in
-  let sim =
-    Sim.with_tracer (Sim.create ~model ~layout ~n:cfg.Signaling.n) tracer
-  in
+  let model = make_model ~n:cfg.Signaling.n layout model in
+  let sim = Sim.create ~model ~layout ~n:cfg.Signaling.n in
   let is_signaler p = List.mem p cfg.Signaling.signalers in
   let signaled = Hashtbl.create 4 in
   let started_wait = Hashtbl.create 16 in

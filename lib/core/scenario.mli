@@ -38,10 +38,7 @@ val cc_of_tag : model_tag -> (Cc.protocol * Cc.interconnect) option
 
 val model_tag_name : model_tag -> string
 
-val make_model :
-  ?tracer:Obs.Trace.t -> n:int -> Var.layout -> model_tag -> Cost_model.t
-(** With [tracer], CC models emit {!Obs.Event.Cache} coherence events
-    (DSM has no coherence traffic to report). *)
+val make_model : n:int -> Var.layout -> model_tag -> Cost_model.t
 
 val run_phased :
   (module Signaling.POLLING) ->
@@ -59,15 +56,15 @@ val run_phased :
     each participating waiter polls until it sees true.  [active_waiters]
     restricts which configured waiters participate — the
     partial-participation scenarios where O(W)-signaler algorithms lose
-    amortized O(1).  With [tracer], the machine and the cost model emit
-    the full per-step event stream. *)
+    amortized O(1).  With [tracer], the machine emits the full per-step
+    event stream, including the CC model's coherence events (DSM has no
+    coherence traffic to report). *)
 
 val run_random :
   (module Signaling.POLLING) ->
   model:model_tag ->
   cfg:Signaling.config ->
   seed:int ->
-  ?tracer:Obs.Trace.t ->
   ?policy:Smr.Schedule.policy ->
   ?signal_after:int ->
   ?max_events:int ->
@@ -84,7 +81,6 @@ val run_blocking :
   model:model_tag ->
   cfg:Signaling.config ->
   seed:int ->
-  ?tracer:Obs.Trace.t ->
   ?signal_after:int ->
   ?max_events:int ->
   unit ->

@@ -56,41 +56,3 @@ type t =
       interconnect : string;
     }
   | Adversary of { t : int; decision : string; pid : int; detail : string }
-  | Explore_task of {
-      task : int;
-      t0 : int;
-      t1 : int;
-      states : int;
-      dedup_hits : int;
-      por_prunes : int;
-      histories : int;
-      truncated : int;
-      max_depth : int;
-    }
-  | Runner_span of {
-      t0 : int;
-      t1 : int;
-      experiment : string;
-      tables : int;
-      rows : int;
-    }
-
-let category = function
-  | Op_step _ -> "op"
-  | Call_begin _ | Call_end _ | Call_crash _ -> "call"
-  | Proc_exit _ -> "proc"
-  | Cache _ -> "cache"
-  | Adversary _ -> "adversary"
-  | Explore_task _ -> "explore"
-  | Runner_span _ -> "runner"
-
-let tick = function
-  | Op_step e -> e.t
-  | Call_begin e -> e.t
-  | Call_end e -> e.t
-  | Call_crash e -> e.t
-  | Proc_exit e -> e.t
-  | Cache e -> e.t
-  | Adversary e -> e.t
-  | Explore_task e -> e.t0
-  | Runner_span e -> e.t0

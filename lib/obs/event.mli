@@ -1,11 +1,14 @@
-(** The closed schema of trace events.
+(** The closed schema of trace events: what a live traced machine
+    ({!Smr.Sim} with a tracer) emits — its own steps, calls and exits,
+    its cost model's cache actions, and the decisions of an adversary
+    driving it — and nothing else.
 
     Every event is keyed by the simulator's {e logical event clock} —
     never wall time — so a recorded stream is a pure function of the run's
-    inputs and can be byte-compared across runs and [--jobs] levels.  All
-    fields are primitives (int/string/bool): [Obs] sits below the
-    simulator in the dependency order, and emitters translate their own
-    vocabulary into it.
+    inputs and can be byte-compared across runs and hosts.  All fields are
+    primitives (int/string/bool): [Obs] sits below the simulator in the
+    dependency order, and emitters translate their own vocabulary into
+    it.
 
     The schema is deliberately closed: sinks ({!Sink_jsonl},
     {!Sink_chrome}, {!Sink_text}) and the metrics fold ({!Trace.emit})
@@ -65,36 +68,11 @@ type t =
       messages : int;  (** interconnect messages the action generated *)
       protocol : string;  (** "cc-wt" / "cc-wb" / "cc-lfcu" *)
       interconnect : string;  (** "bus" / "dir" / "dir<k>" *)
-    }  (** One cache-coherence action from {!Smr.Cc}. *)
+    }
+      (** One cache-coherence action from {!Smr.Cc}, billed inside the
+          traced step and stamped with its tick. *)
   | Adversary of { t : int; decision : string; pid : int; detail : string }
       (** A Section 6 construction decision ("erase", "erase-blocked",
           "roll-forward", "round", "stabilized", "signaler",
           "chase-erase", "chase-blocked"); [pid] is the process acted on,
           [-1] for whole-round decisions. *)
-  | Explore_task of {
-      task : int;
-      t0 : int;
-      t1 : int;
-          (** synthesized logical interval: cumulative visited-state
-              counts, so spans nest deterministically on a shared axis *)
-      states : int;
-      dedup_hits : int;
-      por_prunes : int;
-      histories : int;
-      truncated : int;
-      max_depth : int;
-    }  (** One subtree task of {!Smr.Explore.check}, in task order. *)
-  | Runner_span of {
-      t0 : int;
-      t1 : int;  (** synthesized interval: cumulative emitted row counts *)
-      experiment : string;
-      tables : int;
-      rows : int;
-    }  (** One experiment executed by {!Core.Runner.run}, in spec order. *)
-
-val category : t -> string
-(** "op" | "call" | "proc" | "cache" | "adversary" | "explore" |
-    "runner". *)
-
-val tick : t -> int
-(** The event's logical timestamp ([t0] for spans). *)

@@ -1,20 +1,16 @@
 (* Chrome trace_event sink (the JSON loaded by chrome://tracing and
    Perfetto).  Logical simulator ticks are reported as microseconds, so
    the viewer's time axis *is* the event clock — wall time never appears
-   and the file is byte-identical across hosts and [--jobs].
+   and the file is byte-identical across hosts.
 
    Track layout (chrome "pid" = track group, "tid" = lane):
      pid 0 "machine"    tid = simulator pid (op slices, call B/E, instants)
      pid 1 "adversary"  tid 0 (decision instants)
-     pid 2 "explore"    tid = task index (task spans)
-     pid 3 "runner"     tid 0 (experiment spans)
      pid 4 "cells"      tid = cell address (coherence-traffic instants)
    Metadata (ph "M") names only the tracks that actually appear. *)
 
 let pid_machine = 0
 let pid_adversary = 1
-let pid_explore = 2
-let pid_runner = 3
 let pid_cells = 4
 
 let i = string_of_int
@@ -37,8 +33,6 @@ let ev_obj ~name ~cat ~ph ~pid ~tid ~ts ?dur ?(args = []) () =
   in
   let fields = match args with [] -> fields | a -> fields @ [ ("args", obj a) ] in
   obj fields
-
-let span_dur ~t0 ~t1 = max 1 (t1 - t0)
 
 (* Each event renders to one or more trace_event objects, already joined
    by commas (a crash closes its open call slice *and* drops a marker). *)
@@ -90,22 +84,6 @@ let objects (ev : Event.t) =
         ~tid:0 ~ts:e.t
         ~args:[ ("pid", i e.pid); ("detail", str e.detail) ]
         () ]
-  | Event.Explore_task e ->
-    [ ev_obj
-        ~name:("task " ^ i e.task)
-        ~cat:"explore" ~ph:"X" ~pid:pid_explore ~tid:e.task ~ts:e.t0
-        ~dur:(span_dur ~t0:e.t0 ~t1:e.t1)
-        ~args:
-          [ ("states", i e.states); ("dedup_hits", i e.dedup_hits);
-            ("por_prunes", i e.por_prunes); ("histories", i e.histories);
-            ("truncated", i e.truncated); ("max_depth", i e.max_depth) ]
-        () ]
-  | Event.Runner_span e ->
-    [ ev_obj ~name:e.experiment ~cat:"runner" ~ph:"X" ~pid:pid_runner ~tid:0
-        ~ts:e.t0
-        ~dur:(span_dur ~t0:e.t0 ~t1:e.t1)
-        ~args:[ ("tables", i e.tables); ("rows", i e.rows) ]
-        () ]
 
 let render ev = String.concat "," (objects ev)
 
@@ -113,21 +91,18 @@ module Iset = Set.Make (Int)
 
 (* Name only the tracks that appear, in sorted lane order. *)
 let metadata events =
-  let machine, explore, adversary, runner =
+  let machine, adversary =
     List.fold_left
-      (fun (m, x, a, r) (ev : Event.t) ->
+      (fun (m, a) (ev : Event.t) ->
         match ev with
-        | Event.Op_step e -> (Iset.add e.pid m, x, a, r)
-        | Event.Call_begin e -> (Iset.add e.pid m, x, a, r)
-        | Event.Call_end e -> (Iset.add e.pid m, x, a, r)
-        | Event.Call_crash e -> (Iset.add e.pid m, x, a, r)
-        | Event.Proc_exit e -> (Iset.add e.pid m, x, a, r)
-        | Event.Cache e -> (Iset.add e.pid m, x, a, r)
-        | Event.Adversary _ -> (m, x, true, r)
-        | Event.Explore_task e -> (m, Iset.add e.task x, a, r)
-        | Event.Runner_span _ -> (m, x, a, true))
-      (Iset.empty, Iset.empty, false, false)
-      events
+        | Event.Op_step e -> (Iset.add e.pid m, a)
+        | Event.Call_begin e -> (Iset.add e.pid m, a)
+        | Event.Call_end e -> (Iset.add e.pid m, a)
+        | Event.Call_crash e -> (Iset.add e.pid m, a)
+        | Event.Proc_exit e -> (Iset.add e.pid m, a)
+        | Event.Cache e -> (Iset.add e.pid m, a)
+        | Event.Adversary _ -> (m, true))
+      (Iset.empty, false) events
   in
   let machine_meta =
     if Iset.is_empty machine then []
@@ -144,26 +119,11 @@ let metadata events =
       [ meta ~pid:pid_adversary ~tid:0 ~kind:"process_name" ~name:"adversary" ]
     else []
   in
-  let explore_meta =
-    if Iset.is_empty explore then []
-    else
-      meta ~pid:pid_explore ~tid:0 ~kind:"process_name" ~name:"explore"
-      :: List.map
-           (fun k ->
-             meta ~pid:pid_explore ~tid:k ~kind:"thread_name"
-               ~name:(Printf.sprintf "task %d" k))
-           (Iset.elements explore)
-  in
-  let runner_meta =
-    if runner then
-      [ meta ~pid:pid_runner ~tid:0 ~kind:"process_name" ~name:"runner" ]
-    else []
-  in
-  machine_meta @ adversary_meta @ explore_meta @ runner_meta
+  machine_meta @ adversary_meta
 
-let to_string ?(map = List.map) events =
+let to_string events =
   let head = metadata events in
-  let body = List.filter (fun s -> s <> "") (map render events) in
+  let body = List.filter (fun s -> s <> "") (List.map render events) in
   "{\"traceEvents\":[" ^ String.concat "," (head @ body) ^ "]}\n"
 
 (* --- the cells track group ---

@@ -3,22 +3,17 @@
 
     Logical simulator ticks are written as microseconds so the viewer's
     time axis is the event clock; wall time never appears, keeping the
-    file byte-identical across hosts and [--jobs].  Tracks: chrome
-    process 0 is the simulated machine with one thread lane per
-    simulator pid; processes 1–3 carry adversary decisions, explorer
-    task spans, and runner experiment spans. *)
+    file byte-identical across hosts.  Tracks: chrome process 0 is the
+    simulated machine with one thread lane per simulator pid; process 1
+    carries adversary decisions. *)
 
 val render : Event.t -> string
 (** One event as its trace_event object(s), comma-joined (a crash emits
     a slice-closing "E" plus an instant marker). *)
 
-val to_string :
-  ?map:((Event.t -> string) -> Event.t list -> string list) ->
-  Event.t list ->
-  string
+val to_string : Event.t list -> string
 (** The complete [{"traceEvents":[...]}] document, including
-    process/thread-name metadata for every track that appears.  [map]
-    (default [List.map]) may be an order-preserving parallel map. *)
+    process/thread-name metadata for every track that appears. *)
 
 (** {1 The cells track group}
 

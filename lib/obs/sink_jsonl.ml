@@ -1,6 +1,6 @@
 (* JSONL sink: one event per line, fixed key order per event kind, so the
-   stream is byte-stable and diffable (the golden fixture and the CI
-   jobs-invariance check rely on this). *)
+   stream is byte-stable and diffable (the golden fixtures rely on
+   this). *)
 
 let i = string_of_int
 
@@ -43,18 +43,6 @@ let line (ev : Event.t) =
     obj
       [ ("ev", str "adversary"); ("t", i e.t); ("decision", str e.decision);
         ("pid", i e.pid); ("detail", str e.detail) ]
-  | Event.Explore_task e ->
-    obj
-      [ ("ev", str "explore-task"); ("task", i e.task); ("t0", i e.t0);
-        ("t1", i e.t1); ("states", i e.states);
-        ("dedup_hits", i e.dedup_hits); ("por_prunes", i e.por_prunes);
-        ("histories", i e.histories); ("truncated", i e.truncated);
-        ("max_depth", i e.max_depth) ]
-  | Event.Runner_span e ->
-    obj
-      [ ("ev", str "runner-span"); ("t0", i e.t0); ("t1", i e.t1);
-        ("experiment", str e.experiment); ("tables", i e.tables);
-        ("rows", i e.rows) ]
 
-let to_string ?(map = List.map) events =
-  String.concat "" (map (fun ev -> line ev ^ "\n") events)
+let to_string events =
+  String.concat "" (List.map (fun ev -> line ev ^ "\n") events)

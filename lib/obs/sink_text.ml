@@ -1,7 +1,7 @@
 (* Human-oriented text sink: one deterministic line per event, in the
    vocabulary of Smr.Timeline but covering the whole event schema
-   (timeline draws only op cells; this also shows calls, cache traffic,
-   adversary decisions, and explorer/runner spans). *)
+   (timeline draws only op cells; this also shows calls, cache traffic
+   and adversary decisions). *)
 
 let tick t = Printf.sprintf "t=%04d" t
 
@@ -34,15 +34,6 @@ let line (ev : Event.t) =
     let who = if e.pid < 0 then "" else Printf.sprintf " p%d" e.pid in
     let detail = if e.detail = "" then "" else " " ^ e.detail in
     Printf.sprintf "%s adversary %s%s%s" (tick e.t) e.decision who detail
-  | Event.Explore_task e ->
-    Printf.sprintf
-      "explore task %d: t=[%d,%d] states=%d dedup=%d por=%d histories=%d \
-       truncated=%d depth=%d"
-      e.task e.t0 e.t1 e.states e.dedup_hits e.por_prunes e.histories
-      e.truncated e.max_depth
-  | Event.Runner_span e ->
-    Printf.sprintf "runner %s: t=[%d,%d] tables=%d rows=%d" e.experiment e.t0
-      e.t1 e.tables e.rows
 
-let to_string ?(map = List.map) events =
-  String.concat "" (map (fun ev -> line ev ^ "\n") events)
+let to_string events =
+  String.concat "" (List.map (fun ev -> line ev ^ "\n") events)

@@ -1,13 +1,9 @@
 (** Text sink: one deterministic human-readable line per event,
     generalizing the vocabulary of [Smr.Timeline] to the full event
-    schema (calls, cache traffic, adversary decisions, spans). *)
+    schema (calls, cache traffic, adversary decisions). *)
 
 val line : Event.t -> string
 (** One event, no trailing newline. *)
 
-val to_string :
-  ?map:((Event.t -> string) -> Event.t list -> string list) ->
-  Event.t list ->
-  string
-(** Newline-terminated lines.  [map] (default [List.map]) may be an
-    order-preserving parallel map. *)
+val to_string : Event.t list -> string
+(** Newline-terminated lines. *)

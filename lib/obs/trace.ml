@@ -2,24 +2,15 @@
 
    Emission is O(1) (a cons) and every emit also folds the event into the
    embedded metrics registry, so metrics are always consistent with the
-   stream and never need a second pass.  The [armed] latch exists for
-   emitters that are invoked from *inside* a simulator step (the cache
-   model's accounting closures): the simulator arms the trace around the
-   accounting call of a genuinely traced step, and replays — which re-run
-   the same closures to reconstruct an erased history — never arm, so they
-   cannot duplicate events. *)
+   stream and never need a second pass. *)
 
 type t = {
   mutable events_rev : Event.t list;
   mutable length : int;
-  mutable tick : int;
-  mutable armed : bool;
   metrics : Metrics.t;
 }
 
-let create () =
-  { events_rev = []; length = 0; tick = 0; armed = false;
-    metrics = Metrics.create () }
+let create () = { events_rev = []; length = 0; metrics = Metrics.create () }
 
 let pid_label p = Printf.sprintf "p%d" p
 
@@ -56,14 +47,6 @@ let fold_metrics m (ev : Event.t) =
   | Event.Adversary e ->
     Metrics.incr m "adversary_decisions_total"
       ~labels:[ ("decision", e.decision) ]
-  | Event.Explore_task e ->
-    Metrics.incr m ~by:e.states "explore_states_total"
-      ~labels:[ ("task", string_of_int e.task) ];
-    Metrics.incr m ~by:e.histories "explore_histories_total"
-      ~labels:[ ("task", string_of_int e.task) ]
-  | Event.Runner_span e ->
-    Metrics.incr m ~by:e.rows "runner_rows_total"
-      ~labels:[ ("experiment", e.experiment) ]
 
 let emit t ev =
   t.events_rev <- ev :: t.events_rev;
@@ -75,13 +58,3 @@ let events t = List.rev t.events_rev
 let length t = t.length
 
 let metrics t = t.metrics
-
-let arm t ~now =
-  t.tick <- now;
-  t.armed <- true
-
-let disarm t = t.armed <- false
-
-let now t = t.tick
-
-let emit_if_armed t ev = if t.armed then emit t ev

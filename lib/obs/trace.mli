@@ -8,7 +8,9 @@
 
     Events are keyed by the simulator's logical clock, so a trace of a
     deterministic run is itself deterministic — sinks render it
-    byte-identically regardless of [--jobs] or host speed.
+    byte-identically regardless of host speed.  Only a live machine
+    holds a trace: a replay runs on a tracerless machine, so it cannot
+    emit.
 
     Derived metrics (per emitted event):
     - [steps_total{pid}], [rmr_total{model,pid,addr_home}],
@@ -17,9 +19,7 @@
       [crashes_total{label}] from call endpoints;
     - [coherence_messages_total{interconnect,action}] and
       [cache_events_total{protocol,action}] from cache events;
-    - [adversary_decisions_total{decision}];
-    - [explore_states_total{task}], [explore_histories_total{task}];
-    - [runner_rows_total{experiment}]. *)
+    - [adversary_decisions_total{decision}]. *)
 
 type t
 
@@ -34,21 +34,3 @@ val events : t -> Event.t list
 val length : t -> int
 
 val metrics : t -> Metrics.t
-
-(** {1 The armed latch}
-
-    For emitters invoked from {e inside} a simulator step — the cache
-    model's accounting closures, which have no access to the clock and
-    cannot tell a live step from a replayed one.  The simulator {!arm}s
-    the trace (publishing the current tick) around the accounting call of
-    a traced step and {!disarm}s it after; replays never arm, so re-run
-    closures cannot duplicate events. *)
-
-val arm : t -> now:int -> unit
-val disarm : t -> unit
-
-val now : t -> int
-(** The tick published by the latest {!arm}. *)
-
-val emit_if_armed : t -> Event.t -> unit
-(** {!emit}, but only between an {!arm} and the next {!disarm}. *)

@@ -204,21 +204,18 @@ type t = {
   interconnect : interconnect;
   n : int;
   st : state;
-  tracer : Obs.Trace.t option;
 }
 
-(* Cache-line transition events.  Accounting runs *inside* a simulator
-   step, so emission goes through the trace's armed latch: the simulator
-   arms the trace (publishing the current tick) only around the accounting
-   call of a live traced step — erasure replays re-run these closures on a
-   tracerless machine and emit nothing. *)
-let emit_cache t pid a ~action ~copies ~messages =
-  match t.tracer with
+(* Cache-line transition events, into the trace a live traced step hands
+   [account] together with its tick; a replay or an untraced step hands
+   none. *)
+let emit_cache ~trace t pid a ~action ~copies ~messages =
+  match trace with
   | None -> ()
-  | Some tr ->
-    Obs.Trace.emit_if_armed tr
+  | Some (tr, now) ->
+    Obs.Trace.emit tr
       (Obs.Event.Cache
-         { t = Obs.Trace.now tr; pid; addr = a; action; copies; messages;
+         { t = now; pid; addr = a; action; copies; messages;
            protocol = protocol_name t.protocol;
            interconnect = interconnect_name t.interconnect })
 
@@ -228,10 +225,10 @@ let hit t pid a =
   let st = add_copy t.st pid a in
   ((if st == t.st then t else { t with st }), Cost_model.local)
 
-let miss t pid a =
+let miss ~trace t pid a =
   let dirty_elsewhere = Addr_map.mem a t.st.owner && not (owns t.st pid a) in
   let messages = miss_messages ~dirty_elsewhere in
-  emit_cache t pid a ~action:"fetch"
+  emit_cache ~trace t pid a ~action:"fetch"
     ~copies:(if dirty_elsewhere then 1 else 0)
     ~messages;
   (* The previous owner's line is downgraded to shared.  The owner map is
@@ -242,12 +239,12 @@ let miss t pid a =
     { Cost_model.rmr = true; messages } )
 
 (* A write-like access that must reach memory and kill/update remote copies. *)
-let write ~invalidate ~own t pid a =
+let write ~trace ~invalidate ~own t pid a =
   let remote = remote_holders t.st pid a in
   let m = List.length remote in
   let base = 1 (* the memory / directory transaction itself *) in
   let messages = base + coherence_messages t.interconnect ~n:t.n ~m in
-  emit_cache t pid a
+  emit_cache ~trace t pid a
     ~action:(if invalidate then "invalidate" else "update")
     ~copies:m ~messages;
   let st =
@@ -261,23 +258,23 @@ let write ~invalidate ~own t pid a =
   in
   ({ t with st = { st with owner } }, { Cost_model.rmr = true; messages })
 
-let account t pid inv ~wrote =
+let account t ~trace pid inv ~wrote =
   let a = Op.addr_of inv in
   let has_copy = has_copy t.st pid a in
   match decide t.protocol inv ~wrote ~has_copy ~owned:(owns t.st pid a) with
   | Hit -> hit t pid a
   | Hit_in_place -> (t, Cost_model.local)
-  | Miss -> miss t pid a
+  | Miss -> miss ~trace t pid a
   | Round_trip ->
     (* A failed mutating primitive still performs the global round trip
        (one message, billed before the refill's own traffic) but
        invalidates nothing; its cache effect is that of a read. *)
-    emit_cache t pid a ~action:"roundtrip" ~copies:0 ~messages:1;
-    let t, _ = if has_copy then hit t pid a else miss t pid a in
+    emit_cache ~trace t pid a ~action:"roundtrip" ~copies:0 ~messages:1;
+    let t, _ = if has_copy then hit t pid a else miss ~trace t pid a in
     (t, { Cost_model.rmr = true; messages = 1 })
-  | Invalidate -> write ~invalidate:true ~own:false t pid a
-  | Take_ownership -> write ~invalidate:true ~own:true t pid a
-  | Update -> write ~invalidate:false ~own:false t pid a
+  | Invalidate -> write ~trace ~invalidate:true ~own:false t pid a
+  | Take_ownership -> write ~trace ~invalidate:true ~own:true t pid a
+  | Update -> write ~trace ~invalidate:false ~own:false t pid a
 
 (* [decide] with the outcome unknown: commit only when both outcomes agree
    on locality. *)
@@ -288,7 +285,7 @@ let predict t pid inv =
   let r = rmr true in
   if r = rmr false then Some r else None
 
-let model ?tracer ?(protocol = Write_through) ?(interconnect = Bus) ?capacity
+let model ?(protocol = Write_through) ?(interconnect = Bus) ?capacity
     ~n () =
   let full_name =
     Printf.sprintf "%s/%s%s" (protocol_name protocol)
@@ -302,4 +299,4 @@ let model ?tracer ?(protocol = Write_through) ?(interconnect = Bus) ?capacity
      owned write-back writes, failed cached LFCU comparisons) allocate no
      new model — the explorer's stepping hot path. *)
   Cost_model.make_stateful ~name:full_name ~account ~predict
-    { protocol; interconnect; n; st = empty capacity; tracer }
+    { protocol; interconnect; n; st = empty capacity }

@@ -56,7 +56,6 @@ val miss_messages : dirty_elsewhere:bool -> int
 (** A miss's fetch, plus a write-back from a dirty owner elsewhere. *)
 
 val model :
-  ?tracer:Obs.Trace.t ->
   ?protocol:protocol ->
   ?interconnect:interconnect ->
   ?capacity:int ->
@@ -68,7 +67,7 @@ val model :
     [capacity] bounds each processor's cache to that many lines with LRU
     eviction — modeling Section 8's remark that real caches drop data
     spuriously, so the ideal-cache RMR bounds are underestimates (E12).
-    With [tracer], every coherence transition (fetch, invalidate, update,
-    write-through round trip) is emitted as an {!Obs.Event.Cache} event —
-    but only while the owning simulator has armed the trace for a live
-    step, so erasure replays never duplicate cache traffic. *)
+    Accounting a step with a trace ({!Cost_model.account}'s [trace])
+    emits every coherence transition it makes (fetch, invalidate, update,
+    write-through round trip) as an {!Obs.Event.Cache} event at the
+    step's tick. *)

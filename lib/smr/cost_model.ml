@@ -10,7 +10,9 @@ type step_cost = { rmr : bool; messages : int }
 
 type t = {
   name : string;
-  account : Op.pid -> Op.invocation -> wrote:bool -> t * step_cost;
+  account :
+    trace:(Obs.Trace.t * int) option ->
+    Op.pid -> Op.invocation -> wrote:bool -> t * step_cost;
   predict : Op.pid -> Op.invocation -> bool option;
       (* [Some b]: the next application of this operation by this process is
          an RMR iff [b], independent of its outcome.  [None]: depends on
@@ -18,7 +20,7 @@ type t = {
 }
 
 let name t = t.name
-let account t pid inv ~wrote = t.account pid inv ~wrote
+let account ?trace t pid inv ~wrote = t.account ~trace pid inv ~wrote
 let predict t pid inv = t.predict pid inv
 
 (* Wrap an explicit-state model.  The wrapper for a given state is built
@@ -33,8 +35,8 @@ let make_stateful ~name ~account ~predict s0 =
     let rec self =
       { name;
         account =
-          (fun pid inv ~wrote ->
-            let s', cost = account s pid inv ~wrote in
+          (fun ~trace pid inv ~wrote ->
+            let s', cost = account s ~trace pid inv ~wrote in
             ((if s' == s then self else wrap s'), cost));
         predict = (fun pid inv -> predict s pid inv) }
     in
@@ -54,7 +56,7 @@ let dsm layout =
   let rec t =
     { name = "dsm";
       account =
-        (fun pid inv ~wrote:_ ->
+        (fun ~trace:_ pid inv ~wrote:_ ->
           let rmr = is_rmr pid inv in
           (t, { rmr; messages = (if rmr then 1 else 0) }));
       predict = (fun pid inv -> Some (is_rmr pid inv)) }

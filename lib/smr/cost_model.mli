@@ -14,9 +14,15 @@ type t
 
 val name : t -> string
 
-val account : t -> Op.pid -> Op.invocation -> wrote:bool -> t * step_cost
+val account :
+  ?trace:Obs.Trace.t * int ->
+  t -> Op.pid -> Op.invocation -> wrote:bool -> t * step_cost
 (** Account one executed operation.  [wrote] reports whether the operation
-    was nontrivial in this execution (e.g. a successful CAS). *)
+    was nontrivial in this execution (e.g. a successful CAS).  [trace] is
+    a live traced machine's trace and the step's tick, passed by
+    {!Sim.advance} only: a model that emits events of its own ({!Cc}'s
+    coherence actions) emits them there, at that tick.  Without it a model
+    emits nothing, so a replay or an untraced caller stays silent. *)
 
 val predict : t -> Op.pid -> Op.invocation -> bool option
 (** Whether applying this operation next would be an RMR: [Some b] when the
@@ -25,7 +31,13 @@ val predict : t -> Op.pid -> Op.invocation -> bool option
 
 val make_stateful :
   name:string ->
-  account:('s -> Op.pid -> Op.invocation -> wrote:bool -> 's * step_cost) ->
+  account:
+    ('s ->
+    trace:(Obs.Trace.t * int) option ->
+    Op.pid ->
+    Op.invocation ->
+    wrote:bool ->
+    's * step_cost) ->
   predict:('s -> Op.pid -> Op.invocation -> bool option) ->
   's ->
   t

@@ -1396,7 +1396,7 @@ let zero_capped_sub =
     s_fp_resizes = 0;
     s_fp_slots = 0 }
 
-let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
+let check ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
     ?(dedup = true) ?(por = true) ?(commute = Op.commute) ?(jobs = 1)
     ?(split_depth = default_split_depth) ?(symmetry = Pid_set.empty)
     ~layout ~model ~n ~scripts ~property () =
@@ -1409,36 +1409,25 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
     expand ~por ~commute ~property ~scripts ~max_steps_per_history
       ~max_histories ~split_depth (root ~model ~layout ~n)
   in
-  (* [wall_s] is computed in exactly one place — here — and every other
-     reading of the elapsed time (the [explore_wall_seconds] metric) is
-     derived from the stats field itself, so the two can never disagree. *)
   let finish ~histories ~truncated ~states ~dedup_hits ~por_prunes ~tasks:k
       ~max_depth ~orbit_hits ~fp_distinct ~fp_collisions ~fp_resizes
       ~fp_slots ~violation ~capped =
-    let result =
-      { histories;
-        truncated;
-        complete = violation = None && (not capped) && truncated = 0;
-        violation = Option.map (replay ~model ~layout ~n) violation;
-        stats =
-          { states;
-            dedup_hits;
-            por_prunes;
-            tasks = k;
-            max_depth;
-            orbit_hits;
-            fp_distinct;
-            fp_collisions;
-            fp_resizes;
-            fp_slots;
-            wall_s = Obs.Clock.elapsed_s ~since:t0 } }
-    in
-    (match tracer with
-    | None -> ()
-    | Some tr ->
-      Obs.Metrics.observe (Obs.Trace.metrics tr) "explore_wall_seconds"
-        ~labels:[] result.stats.wall_s);
-    result
+    { histories;
+      truncated;
+      complete = violation = None && (not capped) && truncated = 0;
+      violation = Option.map (replay ~model ~layout ~n) violation;
+      stats =
+        { states;
+          dedup_hits;
+          por_prunes;
+          tasks = k;
+          max_depth;
+          orbit_hits;
+          fp_distinct;
+          fp_collisions;
+          fp_resizes;
+          fp_slots;
+          wall_s = Obs.Clock.elapsed_s ~since:t0 } }
   in
   match stopped with
   | Some v ->
@@ -1495,26 +1484,6 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
           end)
         tasks raw
     in
-    (* Task spans are emitted *here*, after the parallel map, in task order,
-       from the reconciled per-task stats — never from inside worker
-       domains — so the trace is byte-identical for every [jobs].  The span
-       ticks are synthetic: cumulative states explored, a deterministic
-       stand-in for time. *)
-    (match tracer with
-    | None -> ()
-    | Some tr ->
-      ignore
-        (List.fold_left
-           (fun (i, t_acc) s ->
-             let t_end = t_acc + s.s_states in
-             Obs.Trace.emit tr
-               (Obs.Event.Explore_task
-                  { task = i; t0 = t_acc; t1 = t_end; states = s.s_states;
-                    dedup_hits = s.s_dedup; por_prunes = s.s_por;
-                    histories = s.s_histories; truncated = s.s_truncated;
-                    max_depth = s.s_maxd });
-             (i + 1, t_end))
-           (0, pre_states) subs));
     let violation =
       List.find_map (fun s -> s.s_violation) subs (* first in task order *)
     in

@@ -82,9 +82,7 @@ type stats = {
           not [Sys.time], which measures CPU time and is distorted by
           multi-domain runs); the only field that varies with [jobs] and
           across hosts — keep it out of any byte-comparison or golden
-          fixture.  Traced runs also record it as the
-          [explore_wall_seconds] histogram, which {!Obs.Metrics.rows}
-          likewise excludes from deterministic output by default. *)
+          fixture. *)
 }
 
 type result = {
@@ -132,7 +130,6 @@ val detect_symmetry :
     caller's responsibility. *)
 
 val check :
-  ?tracer:Obs.Trace.t ->
   ?max_histories:int ->
   ?max_steps_per_history:int ->
   ?dedup:bool ->
@@ -203,15 +200,7 @@ val check :
     key with 5 waiters and 180 with 6, and a key does not grow with how
     long a call has spun (see docs/MODEL.md, "Exploration fast path" and
     "Symmetry reduction", for the peak memory measured at the largest
-    scopes).
-
-    With [tracer], one {!Obs.Event.Explore_task} span per subtree task is
-    emitted after the parallel phase, in task order, with synthetic ticks
-    (cumulative states explored) — so the trace too is byte-identical for
-    every [jobs].  Wall time goes only into the [explore_wall_seconds]
-    metric, recorded from the very [stats.wall_s] value the result
-    carries (one clock read; the two can never disagree), which
-    deterministic renderings exclude. *)
+    scopes). *)
 
 (** Internal canonicalization and key-packing machinery under stable
     constructors, so the test suite can state the canonicalization laws —

@@ -269,17 +269,15 @@ let advance_gen ~record ?(check : Op.value option) t p =
                Printf.sprintf "%s responded %d, originally %d"
                  (Op.show_invocation inv) response expected })
     | _ -> ());
-    (* The armed latch lets emitters *inside* the accounting call (the CC
-       model's closures) publish cache events at the right tick; replays run
-       on a tracerless machine and thus never arm, so re-run closures cannot
-       duplicate events. *)
-    (match t.tracer with
-    | Some tr -> Obs.Trace.arm tr ~now:t.clock
-    | None -> ());
-    let model, { Cost_model.rmr; messages } =
-      Cost_model.account t.model p inv ~wrote
+    (* A traced step hands the cost model its trace and tick, so the model's
+       own events (CC cache actions) land before the step's; a replay runs
+       on a tracerless machine and hands none. *)
+    let trace =
+      match t.tracer with None -> None | Some tr -> Some (tr, t.clock)
     in
-    (match t.tracer with Some tr -> Obs.Trace.disarm tr | None -> ());
+    let model, { Cost_model.rmr; messages } =
+      Cost_model.account ?trace t.model p inv ~wrote
+    in
     let time = t.clock in
     (* The step record (and its trace event) exists only in full-history
        mode; lean mode keeps every counter below but allocates neither. *)

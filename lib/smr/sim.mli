@@ -52,10 +52,12 @@ val with_tracer : t -> Obs.Trace.t option -> t
 (** The same machine with a different (or no) tracer attached.  While a
     tracer is attached, every call begin/end, executed step, crash and
     termination is emitted as an {!Obs.Event.t} keyed by the logical
-    clock; with no tracer, instrumentation costs nothing.  Erasure
-    replays are always silent (re-running surviving steps does not
-    re-emit their events), and [None] silences observation on throwaway
-    snapshots such as the adversary's stability probes. *)
+    clock, and each step hands the trace and its tick to
+    {!Cost_model.account}, so a CC model's cache actions join the same
+    stream; with no tracer, instrumentation costs nothing.  The machine
+    is the only holder of a trace: erasure replays run on a tracerless
+    machine and so are always silent, and [None] silences observation on
+    throwaway snapshots such as the adversary's stability probes. *)
 
 val n : t -> int
 val layout : t -> Var.layout

@@ -90,6 +90,26 @@ let adversary_cases =
      "separation: trace: -n must be >= 1, got 0");
     ("trace", "-a cc-flag -n 0", 2, Err,
      "separation: trace: -n must be >= 1, got 0");
+    (* The construction always runs in DSM: another model is refused,
+       where it was once silently ignored.  The randomized strategies and
+       plain `trace` honour -m. *)
+    ("trace", "--adversary -a cc-flag -n 8 -m cc-wt", 2, Err,
+     "separation: trace: --adversary always runs in the DSM model, got \
+      --model cc-wt");
+    ("adversary", "-a cc-flag -n 8 -m cc-lfcu", 2, Err,
+     "separation: adversary: --strategy section6 always runs in the DSM \
+      model, got --model cc-lfcu");
+    ("adversary", "-a cc-flag -n 8 --strategy section6 -m cc-wb", 2, Err,
+     "separation: adversary: --strategy section6 always runs in the DSM \
+      model, got --model cc-wb");
+    ("trace", "--adversary -a dsm-broadcast -n 8 -m dsm", 0, Out,
+     "\"decision\":\"signaler\"");
+    ("adversary", "-a cc-flag -n 4 --strategy pct -m cc-wt", 0, Out,
+     "0 violation(s)");
+    ("trace", "-a cas-register -n 4 -m cc-lfcu", 0, Out,
+     "\"protocol\":\"cc-lfcu\"");
+    (* The stream is rendered in one pass; --jobs is gone. *)
+    ("trace", "-a cc-flag -n 4 --jobs 2", 124, Err, "unknown option '--jobs'");
     ("adversary", "-a dsm-broadcast -n 8", 0, Out,
      "part 2: signaler p0 incurred 7 RMRs (7 waiters erased, 0 erasures \
       blocked)") ]

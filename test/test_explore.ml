@@ -997,19 +997,6 @@ let test_state_hash_collision_free () =
   check_int "cc-flag N=4, 3 waiters, 2 polls" 0
     (collisions (module Cc_flag) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:2)
 
-let test_wall_metric_single_source () =
-  (* wall_s is computed once: the traced metric must carry the very value
-     the result reports, not a second clock read. *)
-  let layout, scripts = scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
-  let tr = Obs.Trace.create () in
-  let r =
-    Explore.check ~tracer:tr ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
-      ~property:spec_ok ()
-  in
-  let metric = Obs.Metrics.total (Obs.Trace.metrics tr) "explore_wall_seconds" in
-  check_true "explore_wall_seconds equals stats.wall_s exactly"
-    (metric = r.Explore.stats.Explore.wall_s)
-
 let suite =
   [ case "interleaving count" test_count_basics;
     case "history cap respected" test_count_respects_cap;
@@ -1056,7 +1043,6 @@ let suite =
       test_setup_refuses_negative_split_depth;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
     case "state hash: no full-hash collisions" test_state_hash_collision_free;
-    case "wall-clock metric has a single source" test_wall_metric_single_source;
     prop_heap_sort_is_array_sort;
     case "property is handed the violation machine's calls"
       test_property_sees_sim_calls;

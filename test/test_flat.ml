@@ -48,7 +48,7 @@ let collect calls ~pid ~label ~seq ~started ~finished ~crashed ~result ~rmrs
 
 type model_pair = {
   mp_name : string;
-  mp_sim : ?tracer:Obs.Trace.t -> n:int -> Var.layout -> Cost_model.t;
+  mp_sim : n:int -> Var.layout -> Cost_model.t;
   mp_flat : n:int -> Var.layout -> Flat_sim.model_spec;
 }
 
@@ -64,8 +64,7 @@ let model_pairs =
           | Some c -> Printf.sprintf "/cap%d" c
           | None -> "");
       mp_sim =
-        (fun ?tracer ~n _ ->
-          Cc.model ?tracer ~protocol ~interconnect ?capacity ~n ());
+        (fun ~n _ -> Cc.model ~protocol ~interconnect ?capacity ~n ());
       mp_flat =
         (fun ~n:_ layout ->
           Flat_sim.Cc
@@ -77,7 +76,7 @@ let model_pairs =
                 | None -> max 1 (Var.layout_size layout)) }) }
   in
   { mp_name = "dsm";
-    mp_sim = (fun ?tracer:_ ~n:_ layout -> Cost_model.dsm layout);
+    mp_sim = (fun ~n:_ layout -> Cost_model.dsm layout);
     mp_flat = (fun ~n:_ _ -> Flat_sim.Dsm) }
   :: List.concat_map
        (fun protocol ->
@@ -318,7 +317,7 @@ let run_counters_one (module A : Signaling.POLLING) mp ~n ~seed ~crashes =
   let tr = Obs.Trace.create () in
   let sim =
     Sim.with_tracer
-      (Sim.create ~model:(mp.mp_sim ~tracer:tr ~n layout) ~layout ~n)
+      (Sim.create ~model:(mp.mp_sim ~n layout) ~layout ~n)
       (Some tr)
   in
   let counters =

@@ -61,22 +61,6 @@ let test_tracing_does_not_perturb () =
         (o.Core.Scenario.violations = o'.Core.Scenario.violations))
     [ ("cc-flag", `Dsm); ("cc-flag", `Cc_wt); ("dsm-broadcast", `Dsm) ]
 
-(* --- determinism: rendering is independent of the parallel map --- *)
-
-let test_render_jobs_deterministic () =
-  let tr, _ = traced ~model:`Cc_wt "cc-flag" in
-  let evs = Obs.Trace.events tr in
-  let pmap f xs = Core.Parallel.map ~jobs:2 f xs in
-  Alcotest.(check string) "jsonl identical under parallel map"
-    (Obs.Sink_jsonl.to_string evs)
-    (Obs.Sink_jsonl.to_string ~map:pmap evs);
-  Alcotest.(check string) "chrome identical under parallel map"
-    (Obs.Sink_chrome.to_string evs)
-    (Obs.Sink_chrome.to_string ~map:pmap evs);
-  Alcotest.(check string) "text identical under parallel map"
-    (Obs.Sink_text.to_string evs)
-    (Obs.Sink_text.to_string ~map:pmap evs)
-
 (* --- golden: the JSONL stream is pinned byte-for-byte --- *)
 
 let read_file path =
@@ -202,72 +186,51 @@ let test_adversary_traced () =
     (count_by (function Obs.Event.Op_step _ -> true | _ -> false) tr
     >= List.length (Sim.steps r.Core.Adversary.final_sim))
 
-let small_explore ~tracer ~jobs =
+(* --- only a live machine emits --- *)
+
+let test_erase_replay_is_silent () =
+  (* Erasing a process that has stepped replays the history on a
+     tracerless machine: the CC model re-bills every surviving step, yet
+     neither an event nor a coherence message reaches the trace. *)
+  let m = alg "cc-flag" in
+  let module A = (val m : Core.Signaling.POLLING) in
+  let n = 4 in
+  let cfg = Core.Experiment.config_for m ~n in
   let ctx = Var.Ctx.create () in
-  let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
+  let inst = Core.Signaling.instantiate (module A) ctx cfg in
   let layout = Var.Ctx.freeze ctx in
-  let incr_x =
-    Program.Syntax.(
-      let* v = Program.read x in
-      let* () = Program.write x (v + 1) in
-      Program.return (v + 1))
-  in
-  Explore.check ?tracer ~jobs ~layout
-    ~model:(Cost_model.dsm layout) ~n:2
-    ~scripts:
-      [ (0, Explore.of_list [ ("inc", incr_x) ]);
-        (1, Explore.of_list [ ("inc", incr_x) ]) ]
-    ~property:(fun _ -> true) ()
-
-let test_explore_spans () =
   let tr = Obs.Trace.create () in
-  let r = small_explore ~tracer:(Some tr) ~jobs:1 in
-  let spans =
-    List.filter
-      (function Obs.Event.Explore_task _ -> true | _ -> false)
-      (Obs.Trace.events tr)
+  let sim =
+    Sim.with_tracer
+      (Sim.create ~model:(Core.Scenario.make_model ~n layout `Cc_wt) ~layout ~n)
+      (Some tr)
   in
-  check_int "one span per subtree task" r.Explore.stats.Explore.tasks
-    (List.length spans);
-  (* Spans are emitted post-parallel in task order with synthetic ticks,
-     so the stream is identical at any jobs level. *)
-  let tr2 = Obs.Trace.create () in
-  let _ = small_explore ~tracer:(Some tr2) ~jobs:2 in
-  check_true "explore trace byte-identical across jobs"
-    (Obs.Sink_jsonl.to_string (Obs.Trace.events tr)
-    = Obs.Sink_jsonl.to_string (Obs.Trace.events tr2))
-
-let test_runner_spans () =
-  let specs =
-    [ Core.Experiment_registry.find_exn "e1";
-      Core.Experiment_registry.find_exn "e5" ]
+  let poll sim p =
+    fst
+      (Sim.run_call sim p ~label:Core.Signaling.poll_label
+         (inst.Core.Signaling.i_poll p))
   in
-  let tr = Obs.Trace.create () in
-  let outcomes =
-    Core.Runner.run ~jobs:1 ~tracer:tr ~size:Core.Experiment_def.Reduced specs
+  let sim = List.fold_left poll sim [ 1; 2; 1; 2 ] in
+  check_true "the live steps emitted cache events"
+    (count_by (function Obs.Event.Cache _ -> true | _ -> false) tr > 0);
+  let coherence () =
+    Obs.Metrics.total (Obs.Trace.metrics tr) "coherence_messages_total"
   in
-  let spans =
-    List.filter_map
-      (function
-        | Obs.Event.Runner_span { experiment; _ } -> Some experiment
-        | _ -> None)
-      (Obs.Trace.events tr)
-  in
-  Alcotest.(check (list string)) "one span per experiment, in spec order"
-    [ "e1"; "e5" ] spans;
-  check_int "outcomes match specs" 2 (List.length outcomes)
-
-(* --- the latch: a disabled trace stays empty, a detached sim is silent --- *)
+  let events = Obs.Trace.length tr and messages = coherence () in
+  check_true "the live steps sent coherence messages" (messages > 0.);
+  let erased = Sim.erase sim [ 2 ] in
+  check_int "the victim's steps are gone" 0 (Sim.step_count erased 2);
+  check_true "the replay re-billed the survivors under cc-wt"
+    (Sim.total_messages erased < Sim.total_messages sim);
+  check_int "erasure adds no event" events (Obs.Trace.length tr);
+  check_true "coherence_messages_total unchanged" (coherence () = messages);
+  check_true "the erased machine keeps the tracer"
+    (match Sim.tracer erased with Some t -> t == tr | None -> false)
 
 let test_disabled_is_silent () =
   let o = untraced "cc-flag" in
   check_true "untraced sim holds no tracer"
-    (Sim.tracer o.Core.Scenario.sim = None);
-  let tr = Obs.Trace.create () in
-  Obs.Trace.emit_if_armed tr
-    (Obs.Event.Adversary { t = 0; decision = "x"; pid = 0; detail = "" });
-  check_int "emit_if_armed without arm drops the event" 0
-    (Obs.Trace.length tr)
+    (Sim.tracer o.Core.Scenario.sim = None)
 
 let suite =
   [
@@ -275,15 +238,12 @@ let suite =
     case "messages_total sums to outcome total_messages"
       test_messages_total_matches_outcome;
     case "tracing does not perturb the run" test_tracing_does_not_perturb;
-    case "sink rendering independent of parallel map"
-      test_render_jobs_deterministic;
     case "jsonl golden fixture" test_jsonl_golden;
     case "cc trace golden fixtures" test_cc_trace_goldens;
     case "chrome sink edge-case goldens" test_chrome_edge_goldens;
     case "cc models emit cache events, dsm none" test_cc_emits_cache_events;
     case "call begin/end events balanced" test_call_events_balanced;
     case "adversary decisions traced, replays silent" test_adversary_traced;
-    case "explore spans per task, jobs-deterministic" test_explore_spans;
-    case "runner spans in spec order" test_runner_spans;
+    case "erasure replay under cc-wt is silent" test_erase_replay_is_silent;
     case "disabled tracing is silent" test_disabled_is_silent;
   ]
