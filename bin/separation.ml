@@ -434,8 +434,8 @@ let trace_cmd =
              (counters and histograms; wall-time metrics excluded, so the \
              table is deterministic) on stderr.")
   in
-  let run (module A : Core.Signaling.POLLING) model n adversary format metrics
-      =
+  let run (module A : Core.Signaling.POLLING) model n adversary format
+      metrics =
     let tr = Obs.Trace.create () in
     if adversary then begin
       dsm_only ~cmd:"trace" ~mode:"--adversary" model;

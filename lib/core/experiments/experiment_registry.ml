@@ -1,6 +1,6 @@
 (* The experiment registry.  One registration line per experiment. *)
 
-let specs : Experiment_def.spec list =
+let builtin : Experiment_def.spec list =
   [ E1_cc_flag.spec;
     E2_adversary.spec;
     E3_landscape.spec;
@@ -17,7 +17,7 @@ let specs : Experiment_def.spec list =
     E14_amortized.spec;
     E15_churn.spec ]
 
-let all () = specs
+let all () = builtin
 
 let ids () = List.map (fun s -> s.Experiment_def.id) (all ())
 

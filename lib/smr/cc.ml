@@ -285,8 +285,7 @@ let predict t pid inv =
   let r = rmr true in
   if r = rmr false then Some r else None
 
-let model ?(protocol = Write_through) ?(interconnect = Bus) ?capacity
-    ~n () =
+let model ?(protocol = Write_through) ?(interconnect = Bus) ?capacity ~n () =
   let full_name =
     Printf.sprintf "%s/%s%s" (protocol_name protocol)
       (interconnect_name interconnect)

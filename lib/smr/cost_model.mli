@@ -42,7 +42,8 @@ val make_stateful :
   's ->
   t
 (** Build a model from an explicit state and a state-transforming
-    accounting function.  The wrapper is shared across steps that leave
+    accounting function, which receives {!account}'s [trace] ([None] when
+    none was passed).  The wrapper is shared across steps that leave
     the state {e physically} unchanged, so a no-op step (e.g. a cache hit
     that moves nothing) allocates no new model — the property the
     explorer's stepping hot path relies on.  Such a step still allocates

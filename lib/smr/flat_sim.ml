@@ -557,12 +557,12 @@ let bytes_per_process t =
 
 (* --- snapshot / restore ---
 
-   The flat engine only ever moves forward, but randomized replay (the
-   differential fuzzer, and eventually exploration on the flat engine)
-   needs to return to an earlier state.  A snapshot is a deep copy of
-   every dense array plus the scalar counters: O(size + n) space and
-   time, taken rarely — the per-step hot path is untouched.  [progs] and
-   [labels] hold immutable values, so copying the arrays is enough. *)
+   The flat engine only ever moves forward; a snapshot lets a caller
+   return to an earlier state (only bench/suite's layer loops take one
+   today).  A snapshot is a deep copy of every dense array plus the
+   scalar counters: O(size + n) space and time, taken rarely — the
+   per-step hot path is untouched.  [progs] and [labels] hold immutable
+   values, so copying the arrays is enough. *)
 
 type snapshot = {
   s_values : int array;

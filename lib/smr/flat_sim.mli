@@ -138,10 +138,10 @@ val bytes_per_process : t -> int
 
 (** {1 Snapshot and restore}
 
-    Deep-copied machine images for randomized replay: the differential
-    fuzzer rewinds a run to compare engines, and exploration on the flat
-    engine needs the same primitive.  O(size + n) each — cheap because it
-    is taken per run, not per step. *)
+    Deep-copied machine images, for a caller that must return to an
+    earlier state; only the benchmark's layer loops ([bench/suite])
+    take them today.  O(size + n) each — meant to be taken per run, not
+    per step. *)
 
 type snapshot
 

@@ -114,28 +114,29 @@ let test_chrome_edge_goldens () =
   check_true "empty cells document still parses as a trace doc"
     (String.length (Obs.Sink_chrome.cells_to_string []) > 0)
 
+(* The fixture [file] holds [sink] of the traced phased run of [name]. *)
+let check_golden file ~model ~n name sink =
+  let tr, _ = traced ~model ~n name in
+  Alcotest.(check string) (file ^ " byte-identical")
+    (read_file ("golden/" ^ file))
+    (sink (Obs.Trace.events tr))
+
 let test_jsonl_golden () =
   (* Must match `separation trace -a cc-flag -n 4 --format jsonl` (CI
      diffs the CLI output against the same fixture).  Regenerate with
      `dune exec test/golden/gen.exe` after an intentional schema change. *)
-  let tr, _ = traced ~model:`Dsm ~n:4 "cc-flag" in
-  Alcotest.(check string) "trace_cc_flag.jsonl byte-identical"
-    (read_file "golden/trace_cc_flag.jsonl")
-    (Obs.Sink_jsonl.to_string (Obs.Trace.events tr))
+  check_golden "trace_cc_flag.jsonl" ~model:`Dsm ~n:4 "cc-flag"
+    Obs.Sink_jsonl.to_string
 
 let test_cc_trace_goldens () =
   (* The CC cost model's cache events, interleaved with the machine's at
      each step's tick: `trace -a cas-register -n 4 -m cc-lfcu --format
      jsonl` (fetch, update) and `trace -a cc-flag -n 8 -m cc-wb --format
      chrome` (fetch, invalidate).  CI diffs the CLI output against both. *)
-  let tr, _ = traced ~model:`Cc_lfcu ~n:4 "cas-register" in
-  Alcotest.(check string) "trace_cas_register_lfcu.jsonl byte-identical"
-    (read_file "golden/trace_cas_register_lfcu.jsonl")
-    (Obs.Sink_jsonl.to_string (Obs.Trace.events tr));
-  let tr, _ = traced ~model:`Cc_wb ~n:8 "cc-flag" in
-  Alcotest.(check string) "trace_cc_flag_wb.chrome.json byte-identical"
-    (read_file "golden/trace_cc_flag_wb.chrome.json")
-    (Obs.Sink_chrome.to_string (Obs.Trace.events tr))
+  check_golden "trace_cas_register_lfcu.jsonl" ~model:`Cc_lfcu ~n:4
+    "cas-register" Obs.Sink_jsonl.to_string;
+  check_golden "trace_cc_flag_wb.chrome.json" ~model:`Cc_wb ~n:8 "cc-flag"
+    Obs.Sink_chrome.to_string
 
 (* --- schema coverage per instrumented layer --- *)
 
