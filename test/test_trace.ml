@@ -189,10 +189,12 @@ let test_adversary_traced () =
 
 (* --- only a live machine emits --- *)
 
-let test_erase_replay_is_silent () =
+let test_erase_replay_is_silent model () =
   (* Erasing a process that has stepped replays the history on a
-     tracerless machine: the CC model re-bills every surviving step, yet
+     tracerless machine: the CC model re-bills every surviving step --
+     the fetches and the signal's write to the waiters' copies -- yet
      neither an event nor a coherence message reaches the trace. *)
+  let name = Core.Scenario.model_tag_name model in
   let m = alg "cc-flag" in
   let module A = (val m : Core.Signaling.POLLING) in
   let n = 4 in
@@ -203,17 +205,27 @@ let test_erase_replay_is_silent () =
   let tr = Obs.Trace.create () in
   let sim =
     Sim.with_tracer
-      (Sim.create ~model:(Core.Scenario.make_model ~n layout `Cc_wt) ~layout ~n)
+      (Sim.create ~model:(Core.Scenario.make_model ~n layout model) ~layout ~n)
       (Some tr)
   in
-  let poll sim p =
-    fst
-      (Sim.run_call sim p ~label:Core.Signaling.poll_label
-         (inst.Core.Signaling.i_poll p))
+  let call sim (p, label, program) =
+    fst (Sim.run_call sim p ~label (program p))
   in
-  let sim = List.fold_left poll sim [ 1; 2; 1; 2 ] in
+  let poll p = (p, Core.Signaling.poll_label, inst.Core.Signaling.i_poll)
+  and signal p = (p, Core.Signaling.signal_label, inst.Core.Signaling.i_signal) in
+  let sim =
+    List.fold_left call sim [ poll 1; poll 2; signal 0; poll 1; poll 2 ]
+  in
   check_true "the live steps emitted cache events"
     (count_by (function Obs.Event.Cache _ -> true | _ -> false) tr > 0);
+  check_true "the signal's write reached the waiters' copies"
+    (count_by
+       (function
+         | Obs.Event.Cache { action = "invalidate" | "update"; copies; _ } ->
+           copies > 0
+         | _ -> false)
+       tr
+    > 0);
   let coherence () =
     Obs.Metrics.total (Obs.Trace.metrics tr) "coherence_messages_total"
   in
@@ -221,7 +233,7 @@ let test_erase_replay_is_silent () =
   check_true "the live steps sent coherence messages" (messages > 0.);
   let erased = Sim.erase sim [ 2 ] in
   check_int "the victim's steps are gone" 0 (Sim.step_count erased 2);
-  check_true "the replay re-billed the survivors under cc-wt"
+  check_true ("the replay re-billed the survivors under " ^ name)
     (Sim.total_messages erased < Sim.total_messages sim);
   check_int "erasure adds no event" events (Obs.Trace.length tr);
   check_true "coherence_messages_total unchanged" (coherence () = messages);
@@ -245,6 +257,11 @@ let suite =
     case "cc models emit cache events, dsm none" test_cc_emits_cache_events;
     case "call begin/end events balanced" test_call_events_balanced;
     case "adversary decisions traced, replays silent" test_adversary_traced;
-    case "erasure replay under cc-wt is silent" test_erase_replay_is_silent;
+    case "erasure replay under cc-wt is silent"
+      (test_erase_replay_is_silent `Cc_wt);
+    case "erasure replay under cc-wb is silent"
+      (test_erase_replay_is_silent `Cc_wb);
+    case "erasure replay under cc-lfcu is silent"
+      (test_erase_replay_is_silent `Cc_lfcu);
     case "disabled tracing is silent" test_disabled_is_silent;
   ]
