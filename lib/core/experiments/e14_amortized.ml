@@ -44,13 +44,9 @@ let spec_for k =
     arrivals = Workload.Arrivals.Poisson 2.0 }
 
 let row (k, ((module A : Signaling.POLLING), model)) =
-  let sc =
-    (* ways = 2: every contender's per-process CC footprint is one or two
-       cells, so the bounded cache is exact and costs 3 words per way *)
-    Loadgen.scenario ~ways:2 ~ll_ways:1 ~algorithm:(module A) ~model
-      (spec_for k)
+  let r =
+    Loadgen.run (Loadgen.scenario ~algorithm:(module A) ~model (spec_for k))
   in
-  let r = Loadgen.run sc in
   let open Workload.Driver in
   Results.
     [ int k;

@@ -17,10 +17,11 @@
    engine produces the same responses, the same per-call RMR/step tallies,
    the same timestamps and the same memory contents as [Sim] — for DSM
    always, and for CC whenever every process's live cache footprint fits in
-   [ways] lines (the catalog algorithms touch O(1) cells per process, so a
-   small [ways] is exact; [ways] equal to the layout size is always exact),
-   or [Sim]'s [Cc] model has capacity [ways].  Both engines bill CC
-   through [Cc.decide]; only the stores differ.
+   [ways] lines, or [Sim]'s [Cc] model has capacity [ways].  A process
+   holds at most one line and one link record per cell, so [ways] and
+   [ll_ways] are capped at the layout size, past which no eviction or link
+   overflow can happen.  Both engines bill CC through [Cc.decide]; only
+   the stores differ.
 
    The cache-coherence bookkeeping avoids [Sim]'s per-process address maps
    with an epoch scheme:
@@ -32,11 +33,14 @@
      directory message count for an invalidation is a subtraction, not a
      scan of the processes.
    - [owner.(a)] is the write-back exclusive owner (-1 = none).
+   - A line's LRU stamp is the clock at its last use; each step ticks the
+     clock and touches at most one line, so the stamps order uses exactly.
 
    Load-links use the same trick: [ll_epoch.(a)] is bumped by every
    nontrivial operation on [a] (which is exactly when {!Memory} empties the
    cell's link set, the writer's own link included), and a process's link
-   record [(a, stamp)] is valid iff the stamp still matches. *)
+   record [(a, stamp)] is valid iff the stamp still matches.  The records
+   are allocated by the first [Ll]; most catalog algorithms issue none. *)
 
 type complete_cb =
   pid:Op.pid ->
@@ -93,14 +97,13 @@ type t = {
   ll_epoch : int array;
   (* --- load-link records (per process, [ll_ways] slots) --- *)
   ll_ways : int;
-  ll_addr : int array; (* n * ll_ways; -1 = free slot *)
-  ll_stamp : int array;
+  mutable ll_addr : int array; (* n * ll_ways, or [||] before any Ll *)
+  mutable ll_stamp : int array;
   (* --- CC cache state (length-0 arrays under Dsm) --- *)
   ways : int;
   cache_addr : int array; (* n * ways; -1 = never filled *)
   cache_stamp : int array;
-  cache_lru : int array;
-  use_clock : int array; (* per-process recency counter for LRU *)
+  cache_lru : int array; (* clock at the line's last use *)
   cc_epoch : int array; (* per address *)
   sharers : int array; (* valid copies per address *)
   owner : int array; (* write-back exclusive owner per address; -1 = none *)
@@ -108,12 +111,10 @@ type t = {
   state : Bytes.t;
   progs : Op.value Program.t array;
   labels : string array;
-  seqs : int array; (* ordinal of the in-flight call *)
   started : int array;
   run_rmrs : int array;
   run_steps : int array;
-  next_seq : int array; (* calls begun (the per-process call counter) *)
-  done_calls : int array; (* calls completed (crashes excluded) *)
+  next_seq : int array; (* calls begun; the in-flight call is the last *)
   rmr_cum : int array; (* RMRs folded in at call end, as in Sim *)
   steps_cum : int array;
   last_kind : Bytes.t;
@@ -148,7 +149,7 @@ let create ?(on_complete = nop_complete) ?counters ?(on_cache = nop_cache)
     | Dsm -> 0
     | Cc { ways; _ } ->
       if ways <= 0 then invalid_arg "Flat_sim.create: ways must be positive";
-      ways
+      min ways size
   in
   { n;
     layout;
@@ -156,26 +157,23 @@ let create ?(on_complete = nop_complete) ?counters ?(on_cache = nop_cache)
     spec = model;
     values;
     ll_epoch = Array.make size 0;
-    ll_ways;
-    ll_addr = Array.make (n * ll_ways) (-1);
-    ll_stamp = Array.make (n * ll_ways) 0;
+    ll_ways = min ll_ways size;
+    ll_addr = [||];
+    ll_stamp = [||];
     ways;
     cache_addr = Array.make (n * ways) (-1);
     cache_stamp = Array.make (n * ways) 0;
     cache_lru = Array.make (n * ways) 0;
-    use_clock = Array.make (if ways = 0 then 0 else n) 0;
     cc_epoch = Array.make (if ways = 0 then 0 else size) 0;
     sharers = Array.make (if ways = 0 then 0 else size) 0;
     owner = Array.make (if ways = 0 then 0 else size) (-1);
     state = Bytes.make n st_idle;
     progs = Array.make n no_program;
     labels = Array.make n "";
-    seqs = Array.make n 0;
     started = Array.make n 0;
     run_rmrs = Array.make n 0;
     run_steps = Array.make n 0;
     next_seq = Array.make n 0;
-    done_calls = Array.make n 0;
     rmr_cum = Array.make n 0;
     steps_cum = Array.make n 0;
     last_kind = Bytes.make n last_none;
@@ -205,15 +203,20 @@ let is_terminated t p = Bytes.unsafe_get t.state p = st_terminated
 let ll_valid t p a =
   let base = p * t.ll_ways in
   let valid = ref false in
-  for i = base to base + t.ll_ways - 1 do
-    if
-      Array.unsafe_get t.ll_addr i = a
-      && Array.unsafe_get t.ll_stamp i = Array.unsafe_get t.ll_epoch a
-    then valid := true
-  done;
+  if Array.length t.ll_addr > 0 then
+    for i = base to base + t.ll_ways - 1 do
+      if
+        Array.unsafe_get t.ll_addr i = a
+        && Array.unsafe_get t.ll_stamp i = Array.unsafe_get t.ll_epoch a
+      then valid := true
+    done;
   !valid
 
 let ll_record t p a =
+  if Array.length t.ll_addr = 0 then begin
+    t.ll_addr <- Array.make (t.n * t.ll_ways) (-1);
+    t.ll_stamp <- Array.make (t.n * t.ll_ways) 0
+  end;
   let base = p * t.ll_ways in
   let slot = ref (-1) in
   (* Prefer the slot already holding [a]; otherwise any free or stale one. *)
@@ -249,10 +252,7 @@ let line_of t p a =
   done;
   !found
 
-let touch_lru t p i =
-  let u = t.use_clock.(p) + 1 in
-  t.use_clock.(p) <- u;
-  t.cache_lru.(i) <- u
+let touch_lru t i = t.cache_lru.(i) <- t.clock
 
 (* Give [p] a valid copy of [a] (the flat [Cc.add_copy]): reuse the line
    already holding [a] if any, else a free or stale line, else evict the
@@ -276,7 +276,7 @@ let add_copy t p a =
       t.cache_stamp.(!same) <- epoch_a;
       t.sharers.(a) <- t.sharers.(a) + 1
     end;
-    touch_lru t p !same
+    touch_lru t !same
   end
   else begin
     let i = if !free >= 0 then !free else !lru in
@@ -289,7 +289,7 @@ let add_copy t p a =
     t.cache_addr.(i) <- a;
     t.cache_stamp.(i) <- epoch_a;
     t.sharers.(a) <- t.sharers.(a) + 1;
-    touch_lru t p i
+    touch_lru t i
   end
 
 (* The cache effects of [Cc.decide]'s answers.  Like [cc_account] below,
@@ -345,7 +345,7 @@ let cc_account t protocol interconnect p inv ~wrote =
   let owned = t.owner.(a) = p in
   match Cc.decide protocol inv ~wrote ~has_copy:held ~owned with
   | Cc.Hit ->
-    if held then touch_lru t p i;
+    if held then touch_lru t i;
     0
   | Cc.Hit_in_place -> 0
   | Cc.Miss -> fetch t p a
@@ -356,7 +356,7 @@ let cc_account t protocol interconnect p inv ~wrote =
     | None -> ()
     | Some c -> Obs.Counters.bump_messages c ~pid:p ~addr:a 1);
     t.on_cache ~t:t.clock ~pid:p ~addr:a ~action:"roundtrip" ~messages:1;
-    if held then touch_lru t p i else ignore (fetch t p a : int);
+    if held then touch_lru t i else ignore (fetch t p a : int);
     1
   | Cc.Invalidate -> write t interconnect ~invalidate:true ~own:false ~held p a
   | Cc.Take_ownership ->
@@ -379,12 +379,11 @@ let account t p inv ~wrote =
 let complete_call t p ~crashed result =
   let finished = if crashed then t.clock - 1 else t.clock in
   let rmrs = t.run_rmrs.(p) and steps = t.run_steps.(p) in
-  t.on_complete ~pid:p ~label:t.labels.(p) ~seq:t.seqs.(p) ~started:t.started.(p)
-    ~finished ~crashed ~result ~rmrs ~steps;
+  t.on_complete ~pid:p ~label:t.labels.(p) ~seq:(t.next_seq.(p) - 1)
+    ~started:t.started.(p) ~finished ~crashed ~result ~rmrs ~steps;
   if not crashed then begin
     t.clock <- finished + 1;
     Bytes.unsafe_set t.state p st_idle;
-    t.done_calls.(p) <- t.done_calls.(p) + 1;
     Bytes.unsafe_set t.last_kind p last_completed;
     t.last_val.(p) <- result;
     t.completed_total <- t.completed_total + 1
@@ -405,7 +404,6 @@ let begin_call t p ~label program =
   | _ -> invalid_arg "Flat_sim.begin_call: process terminated");
   let started = t.clock in
   t.labels.(p) <- label;
-  t.seqs.(p) <- t.next_seq.(p);
   t.next_seq.(p) <- t.next_seq.(p) + 1;
   t.started.(p) <- started;
   t.run_rmrs.(p) <- 0;
@@ -516,7 +514,11 @@ let step_count t p =
   t.steps_cum.(p) + if is_running t p then t.run_steps.(p) else 0
 
 let call_count t p = t.next_seq.(p)
-let completed_count t p = t.done_calls.(p)
+
+(* Every call begun is completed, in flight, or the one a crash cut down. *)
+let completed_count t p =
+  t.next_seq.(p) - Bool.to_int (is_running t p)
+  - Bool.to_int (Bytes.get t.last_kind p = last_crashed)
 
 let last_result t p =
   match Bytes.get t.last_kind p with
@@ -535,9 +537,10 @@ let value t a =
 
 (* Resident engine footprint amortized per process, in bytes: every
    per-process array plus the per-address arrays (whose length is itself
-   O(1) cells per process for the catalog algorithms).  Word-counting is
-   exact for int arrays and Bytes; the boxed program/label slots count one
-   word each (their targets are the caller's). *)
+   O(1) cells per process for the catalog algorithms), link records once
+   allocated.  Word-counting is exact for int arrays and Bytes; the boxed
+   program/label slots count one word each (their targets are the
+   caller's). *)
 let bytes_per_process t =
   let words_of_int_array (a : int array) = Array.length a + 1 in
   let words =
@@ -545,9 +548,9 @@ let bytes_per_process t =
       (fun acc a -> acc + words_of_int_array a)
       0
       [ t.values; t.ll_epoch; t.ll_addr; t.ll_stamp; t.cache_addr;
-        t.cache_stamp; t.cache_lru; t.use_clock; t.cc_epoch; t.sharers;
-        t.owner; t.seqs; t.started; t.run_rmrs; t.run_steps; t.next_seq;
-        t.done_calls; t.rmr_cum; t.steps_cum; t.last_val ]
+        t.cache_stamp; t.cache_lru; t.cc_epoch; t.sharers; t.owner;
+        t.started; t.run_rmrs; t.run_steps; t.next_seq; t.rmr_cum;
+        t.steps_cum; t.last_val ]
     + Array.length t.progs + 1
     + Array.length t.labels + 1
     + ((Bytes.length t.state + Bytes.length t.last_kind) / 8)
@@ -559,111 +562,68 @@ let bytes_per_process t =
 
    The flat engine only ever moves forward; a snapshot lets a caller
    return to an earlier state (only bench/suite's layer loops take one
-   today).  A snapshot is a deep copy of every dense array plus the
-   scalar counters: O(size + n) space and time, taken rarely — the
-   per-step hot path is untouched.  [progs] and [labels] hold immutable
-   values, so copying the arrays is enough. *)
+   today).  A snapshot is a copy of the machine record, scalar counters
+   included, with every dense array deep-copied: O(size + n) space and
+   time, taken rarely — the per-step hot path is untouched.  [progs] and
+   [labels] hold immutable values, so copying the arrays is enough. *)
 
-type snapshot = {
-  s_values : int array;
-  s_ll_epoch : int array;
-  s_ll_addr : int array;
-  s_ll_stamp : int array;
-  s_cache_addr : int array;
-  s_cache_stamp : int array;
-  s_cache_lru : int array;
-  s_use_clock : int array;
-  s_cc_epoch : int array;
-  s_sharers : int array;
-  s_owner : int array;
-  s_state : Bytes.t;
-  s_progs : Op.value Program.t array;
-  s_labels : string array;
-  s_seqs : int array;
-  s_started : int array;
-  s_run_rmrs : int array;
-  s_run_steps : int array;
-  s_next_seq : int array;
-  s_done_calls : int array;
-  s_rmr_cum : int array;
-  s_steps_cum : int array;
-  s_last_kind : Bytes.t;
-  s_last_val : int array;
-  s_clock : int;
-  s_total_rmrs : int;
-  s_total_messages : int;
-  s_total_steps : int;
-  s_completed_total : int;
-  s_crashed_total : int;
-}
+type snapshot = t
 
 let snapshot t =
-  { s_values = Array.copy t.values;
-    s_ll_epoch = Array.copy t.ll_epoch;
-    s_ll_addr = Array.copy t.ll_addr;
-    s_ll_stamp = Array.copy t.ll_stamp;
-    s_cache_addr = Array.copy t.cache_addr;
-    s_cache_stamp = Array.copy t.cache_stamp;
-    s_cache_lru = Array.copy t.cache_lru;
-    s_use_clock = Array.copy t.use_clock;
-    s_cc_epoch = Array.copy t.cc_epoch;
-    s_sharers = Array.copy t.sharers;
-    s_owner = Array.copy t.owner;
-    s_state = Bytes.copy t.state;
-    s_progs = Array.copy t.progs;
-    s_labels = Array.copy t.labels;
-    s_seqs = Array.copy t.seqs;
-    s_started = Array.copy t.started;
-    s_run_rmrs = Array.copy t.run_rmrs;
-    s_run_steps = Array.copy t.run_steps;
-    s_next_seq = Array.copy t.next_seq;
-    s_done_calls = Array.copy t.done_calls;
-    s_rmr_cum = Array.copy t.rmr_cum;
-    s_steps_cum = Array.copy t.steps_cum;
-    s_last_kind = Bytes.copy t.last_kind;
-    s_last_val = Array.copy t.last_val;
-    s_clock = t.clock;
-    s_total_rmrs = t.total_rmrs;
-    s_total_messages = t.total_messages;
-    s_total_steps = t.total_steps;
-    s_completed_total = t.completed_total;
-    s_crashed_total = t.crashed_total }
+  { t with
+    values = Array.copy t.values;
+    ll_epoch = Array.copy t.ll_epoch;
+    ll_addr = Array.copy t.ll_addr;
+    ll_stamp = Array.copy t.ll_stamp;
+    cache_addr = Array.copy t.cache_addr;
+    cache_stamp = Array.copy t.cache_stamp;
+    cache_lru = Array.copy t.cache_lru;
+    cc_epoch = Array.copy t.cc_epoch;
+    sharers = Array.copy t.sharers;
+    owner = Array.copy t.owner;
+    state = Bytes.copy t.state;
+    progs = Array.copy t.progs;
+    labels = Array.copy t.labels;
+    started = Array.copy t.started;
+    run_rmrs = Array.copy t.run_rmrs;
+    run_steps = Array.copy t.run_steps;
+    next_seq = Array.copy t.next_seq;
+    rmr_cum = Array.copy t.rmr_cum;
+    steps_cum = Array.copy t.steps_cum;
+    last_kind = Bytes.copy t.last_kind;
+    last_val = Array.copy t.last_val }
 
 let restore t s =
   if
-    Array.length s.s_values <> t.size
-    || Bytes.length s.s_state <> t.n
-    || Array.length s.s_cache_addr <> Array.length t.cache_addr
-    || Array.length s.s_ll_addr <> Array.length t.ll_addr
+    s.n <> t.n || s.size <> t.size || s.ways <> t.ways
+    || s.ll_ways <> t.ll_ways
   then invalid_arg "Flat_sim.restore: snapshot from a different machine shape";
   let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
-  blit s.s_values t.values;
-  blit s.s_ll_epoch t.ll_epoch;
-  blit s.s_ll_addr t.ll_addr;
-  blit s.s_ll_stamp t.ll_stamp;
-  blit s.s_cache_addr t.cache_addr;
-  blit s.s_cache_stamp t.cache_stamp;
-  blit s.s_cache_lru t.cache_lru;
-  blit s.s_use_clock t.use_clock;
-  blit s.s_cc_epoch t.cc_epoch;
-  blit s.s_sharers t.sharers;
-  blit s.s_owner t.owner;
-  Bytes.blit s.s_state 0 t.state 0 t.n;
-  blit s.s_progs t.progs;
-  blit s.s_labels t.labels;
-  blit s.s_seqs t.seqs;
-  blit s.s_started t.started;
-  blit s.s_run_rmrs t.run_rmrs;
-  blit s.s_run_steps t.run_steps;
-  blit s.s_next_seq t.next_seq;
-  blit s.s_done_calls t.done_calls;
-  blit s.s_rmr_cum t.rmr_cum;
-  blit s.s_steps_cum t.steps_cum;
-  Bytes.blit s.s_last_kind 0 t.last_kind 0 t.n;
-  blit s.s_last_val t.last_val;
-  t.clock <- s.s_clock;
-  t.total_rmrs <- s.s_total_rmrs;
-  t.total_messages <- s.s_total_messages;
-  t.total_steps <- s.s_total_steps;
-  t.completed_total <- s.s_completed_total;
-  t.crashed_total <- s.s_crashed_total
+  blit s.values t.values;
+  blit s.ll_epoch t.ll_epoch;
+  (* Copied, not blitted: either side may predate the first [Ll]. *)
+  t.ll_addr <- Array.copy s.ll_addr;
+  t.ll_stamp <- Array.copy s.ll_stamp;
+  blit s.cache_addr t.cache_addr;
+  blit s.cache_stamp t.cache_stamp;
+  blit s.cache_lru t.cache_lru;
+  blit s.cc_epoch t.cc_epoch;
+  blit s.sharers t.sharers;
+  blit s.owner t.owner;
+  Bytes.blit s.state 0 t.state 0 t.n;
+  blit s.progs t.progs;
+  blit s.labels t.labels;
+  blit s.started t.started;
+  blit s.run_rmrs t.run_rmrs;
+  blit s.run_steps t.run_steps;
+  blit s.next_seq t.next_seq;
+  blit s.rmr_cum t.rmr_cum;
+  blit s.steps_cum t.steps_cum;
+  Bytes.blit s.last_kind 0 t.last_kind 0 t.n;
+  blit s.last_val t.last_val;
+  t.clock <- s.clock;
+  t.total_rmrs <- s.total_rmrs;
+  t.total_messages <- s.total_messages;
+  t.total_steps <- s.total_steps;
+  t.completed_total <- s.completed_total;
+  t.crashed_total <- s.crashed_total

@@ -62,6 +62,12 @@ val create :
   t
 (** [ll_ways] (default 4) bounds the concurrent load-links a process may
     hold; exceeding it raises (no catalog algorithm holds more than one).
+    A process holds at most one cache line and one link per cell, so
+    [ll_ways], and a [Cc] model's [ways], are capped at the layout size,
+    where no eviction or link overflow can happen; the cap changes no
+    result, and {!model_name} still spells the requested [ways].  Link
+    records are allocated by the machine's first [Ll], so an algorithm
+    that issues none never pays for them.
 
     [counters], when given, receives a bump per executed step ([Rmr] or
     [Local], at the step's within-call pc), per coherence action ([Fetch] /
@@ -134,7 +140,10 @@ val ll_valid : t -> Op.pid -> Op.addr -> bool
 
 val bytes_per_process : t -> int
 (** Resident engine state divided by [n]: the deterministic memory-footprint
-    figure E14 reports. *)
+    figure E14 reports.  It counts the capped cache ways, and the link
+    records only once the first [Ll] has allocated them: cc-flag under
+    write-through caches reads 98 at k = 10^4 (12 words and 2 bytes per
+    process), dsm-broadcast under DSM 90. *)
 
 (** {1 Snapshot and restore}
 
@@ -151,8 +160,10 @@ val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
 (** Overwrite the machine's state with the snapshot's.  The snapshot must
-    come from a machine of the same shape (same [n], layout size, [ways]
-    and [ll_ways]); raises [Invalid_argument] otherwise.  The
+    come from a machine of the same shape (same [n], layout size, and
+    [ways] and [ll_ways] after the cap at the layout size); raises
+    [Invalid_argument] otherwise.  Link records follow the snapshot: one
+    taken before the first [Ll] restores a machine that holds none.  The
     [on_complete] callback is untouched, and so are any attached
     {!Obs.Counters} planes: counter planes are observational (a record of
     what executed, replays included), not machine state. *)

@@ -10,7 +10,8 @@
    memory contents, the load-link sets, and the Specification 4.1 verdict.
    Every catalog algorithm is exercised under DSM and under every CC
    protocol x interconnect x cache size (ideal, and a 2-line LRU cache),
-   with crashes enabled. *)
+   with crashes enabled.  A last case checks [Flat_sim]'s snapshot and
+   restore on their own. *)
 
 open Smr
 open Core
@@ -377,10 +378,80 @@ let test_counters_match_trace () =
         model_pairs)
     Algorithms.polling_algorithms
 
+(* Link records are allocated by the first LL, so a snapshot taken before
+   it holds none.  Restoring such a snapshot must drop the links made
+   since (the next SC fails, as on a fresh machine), and restoring one
+   taken after an LL must bring its link back. *)
+let test_snapshot_across_first_ll () =
+  let machine ?(cells = 1) ?(ll_ways = 4) ?(model = Flat_sim.Dsm) ~n () =
+    let ctx = Var.Ctx.create () in
+    let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
+    for i = 2 to cells do
+      ignore (Var.Ctx.int ctx ~name:(Printf.sprintf "y%d" i) ~home:Var.Shared 0)
+    done;
+    (x, Flat_sim.create ~ll_ways ~model ~layout:(Var.Ctx.freeze ctx) ~n ())
+  in
+  (* The SC's result, then the cell it targeted. *)
+  let sc flat x v =
+    let won =
+      Flat_sim.run_call flat 0 ~label:"sc"
+        (Program.map Bool.to_int (Program.store_conditional x v))
+    in
+    (won, Flat_sim.value flat (Var.addr x))
+  in
+  let x, flat = machine ~n:2 () in
+  let before = Flat_sim.snapshot flat in
+  ignore (Flat_sim.run_call flat 0 ~label:"ll" (Program.load_linked x));
+  let after = Flat_sim.snapshot flat in
+  Flat_sim.restore flat before;
+  Alcotest.(check bool) "restored: no link" false
+    (Flat_sim.ll_valid flat 0 (Var.addr x));
+  let fresh_x, fresh = machine ~n:2 () in
+  Alcotest.(check (pair int int))
+    "restored: SC fails as on a fresh machine" (sc fresh fresh_x 5)
+    (sc flat x 5);
+  Alcotest.(check int) "restored: same clock" (Flat_sim.clock fresh)
+    (Flat_sim.clock flat);
+  Flat_sim.restore flat after;
+  Alcotest.(check bool) "link back" true
+    (Flat_sim.ll_valid flat 0 (Var.addr x));
+  Alcotest.(check (pair int int)) "SC succeeds" (1, 5) (sc flat x 5);
+  (* Shape is n, layout size, and ways and link slots after the cap. *)
+  let cc ways =
+    Flat_sim.Cc { protocol = Cc.Write_through; interconnect = Cc.Bus; ways }
+  in
+  let restores ?(expect = true) what (_, into) (_, from) =
+    let ok =
+      match Flat_sim.restore into (Flat_sim.snapshot from) with
+      | () -> true
+      | exception Invalid_argument _ -> false
+    in
+    Alcotest.(check bool) what expect ok
+  in
+  let linked ((x, m) as machine) =
+    ignore (Flat_sim.run_call m 0 ~label:"ll" (Program.load_linked x));
+    machine
+  in
+  restores ~expect:false "different n" (machine ~n:2 ()) (machine ~n:3 ());
+  restores ~expect:false "different layout size" (machine ~n:2 ())
+    (machine ~cells:2 ~n:2 ());
+  restores ~expect:false "different ways"
+    (machine ~cells:2 ~model:(cc 1) ~n:2 ())
+    (machine ~cells:2 ~model:(cc 2) ~n:2 ());
+  restores "ways capped alike" (machine ~cells:2 ~model:(cc 2) ~n:2 ())
+    (machine ~cells:2 ~model:(cc 8) ~n:2 ());
+  restores ~expect:false "different link slots"
+    (machine ~cells:2 ~ll_ways:1 ~n:2 ())
+    (linked (machine ~cells:2 ~ll_ways:2 ~n:2 ()));
+  restores "link slots capped alike" (machine ~cells:2 ~ll_ways:4 ~n:2 ())
+    (linked (machine ~cells:2 ~ll_ways:64 ~n:2 ()))
+
 let suite =
   [ Alcotest.test_case "all algorithms x models x seeds, with crashes" `Quick
       test_all_algorithms_all_models;
     Alcotest.test_case "crash-free schedules" `Quick test_no_crash_runs;
     Alcotest.test_case "run_call parity" `Quick test_run_call_matches;
     Alcotest.test_case "counter planes match the traced metrics" `Quick
-      test_counters_match_trace ]
+      test_counters_match_trace;
+    Alcotest.test_case "snapshot and restore across the first LL" `Quick
+      test_snapshot_across_first_ll ]

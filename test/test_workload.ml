@@ -5,7 +5,8 @@
    of the scenario (seed included): CI diffs `separation load` stdout
    across runs and --jobs levels, and these tests pin the same property at
    the library level — identical reports, identical rendered tables — plus
-   the steady-state allocation bound the flat engine is judged by. *)
+   the steady-state allocation bound and the per-process footprint the flat
+   engine is judged by. *)
 
 open Workload
 
@@ -216,6 +217,71 @@ let test_driver_allocation_bounded () =
       ("cc-flag", `Cc_wt, false, 41.0);
       ("cc-flag", `Cc_wt, true, 41.0) ]
 
+let test_flat_state_sized_by_reach () =
+  (* [Flat_sim] caps a process's cache ways and link slots at the layout
+     size and allocates link records on the first LL.  cc-flag's layout is
+     one cell, so every [ways] builds the same one-line cache, and neither
+     algorithm issues an LL: every report field, footprint included, must
+     match the default machine's.  Only [r_model], which spells the
+     requested ways, may differ. *)
+  let run ?(ways = 8) ?(ll_ways = 4) ~algorithm ~model k =
+    let sc =
+      scenario ~algorithm ~model ~k ~crash_prob:0.05 ~leave_early_prob:0.1 ()
+    in
+    Core.Loadgen.run
+      { sc with Core.Loadgen.sc_ways = ways; sc_ll_ways = ll_ways }
+  in
+  List.iter
+    (fun (algorithm, model) ->
+      let base = { (run ~algorithm ~model 400) with Driver.r_model = "" } in
+      List.iter
+        (fun (ways, ll_ways) ->
+          let r = run ~ways ~ll_ways ~algorithm ~model 400 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s ways=%d ll_ways=%d: same report" algorithm
+               r.Driver.r_model ways ll_ways)
+            true
+            ({ r with Driver.r_model = "" } = base))
+        (List.concat_map
+           (fun ways -> List.map (fun l -> (ways, l)) [ 1; 4; 64 ])
+           [ 1; 8; 64 ]))
+    [ ("cc-flag", `Cc_wt); ("cc-flag", `Cc_wb); ("cc-flag", `Cc_lfcu);
+      ("dsm-broadcast", `Dsm) ];
+  (* The footprint at k = 10^4, per process: 9 words of call state and 2
+     state bytes, plus cc-flag's one cache line (3 words) or
+     dsm-broadcast's cell and link epoch (2 words).  With 8 ways, 4 eager
+     link slots and the stored ordinals they read 354 and 170. *)
+  let bytes ~algorithm ~model =
+    (run ~algorithm ~model 10_000).Driver.r_bytes_per_process
+  in
+  let at_most what bound b =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d bytes/process <= %d" what b bound)
+      true (b <= bound)
+  in
+  at_most "cc-flag cc-wt/bus/w8" 98 (bytes ~algorithm:"cc-flag" ~model:`Cc_wt);
+  at_most "dsm-broadcast dsm" 90 (bytes ~algorithm:"dsm-broadcast" ~model:`Dsm);
+  (* llsc-register's link records appear with its first LL: a Signal()
+     issues none, and a first Poll() reads and writes registered[p] before
+     its LL on the head counter. *)
+  let w, layout, n =
+    Core.Loadgen.prepare (scenario ~algorithm:"llsc-register" ~k:2 ())
+  in
+  let flat =
+    Smr.Flat_sim.create ~model:(Core.Loadgen.flat_model ~ways:8 `Cc_wt) ~layout
+      ~n ()
+  in
+  let b0 = Smr.Flat_sim.bytes_per_process flat in
+  ignore (Smr.Flat_sim.run_call flat 0 ~label:"signal" (w.Driver.w_signal 0));
+  Smr.Flat_sim.begin_call flat 1 ~label:"poll" (w.Driver.w_poll 1);
+  Smr.Flat_sim.advance flat 1;
+  Smr.Flat_sim.advance flat 1;
+  check_int "no LL yet: footprint unchanged" b0
+    (Smr.Flat_sim.bytes_per_process flat);
+  Smr.Flat_sim.advance flat 1;
+  Alcotest.(check bool) "the first LL allocates the link records" true
+    (Smr.Flat_sim.bytes_per_process flat > b0)
+
 let test_explore_allocation_bounded () =
   (* The explorer's steady state allocates a bounded constant per search
      state: the child node and its copied metadata, the moves and sleep
@@ -299,6 +365,8 @@ let suite =
       test_driver_spec_verdict_detects_violations;
     case "driver: steady-state allocation bounded"
       test_driver_allocation_bounded;
+    case "flat: state sized by what a run can reach"
+      test_flat_state_sized_by_reach;
     case "explore: per-state allocation bounded"
       test_explore_allocation_bounded;
     case "timeline: huge histories render sampled" test_timeline_sampled ]
