@@ -97,7 +97,7 @@ type t = {
   ll_epoch : int array;
   (* --- load-link records (per process, [ll_ways] slots) --- *)
   ll_ways : int;
-  mutable ll_addr : int array; (* n * ll_ways, or [||] before any Ll *)
+  mutable ll_addr : int array; (* n * ll_ways, -1 = free; [||] before any Ll *)
   mutable ll_stamp : int array;
   (* --- CC cache state (length-0 arrays under Dsm) --- *)
   ways : int;
