@@ -175,27 +175,6 @@ let explore_cmd =
       value & opt int 1_000_000
       & info [ "cap" ] ~docv:"H" ~doc:"Maximum histories to enumerate.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"J"
-          ~doc:
-            "Domains to fan the search across.  Every reported number is \
-             byte-identical for every value.")
-  in
-  let split_depth =
-    Arg.(
-      value & opt int 2
-      & info [ "split-depth" ] ~docv:"D"
-          ~doc:
-            "Tree levels to expand into independent subtree tasks before \
-             searching (default 2).  0 keeps the search monolithic: no \
-             parallelism, but one shared dedup table — states reachable \
-             along several top-level prefixes (and, under symmetry, \
-             whole permuted subtrees) merge instead of being re-explored \
-             per task, so reported states drop further.  Every reported \
-             number is byte-identical across --jobs for any fixed value.")
-  in
   let json =
     Arg.(
       value & flag
@@ -225,12 +204,12 @@ let explore_cmd =
              unchanged, states visited shrink by up to the factorial of \
              the waiter count.")
   in
-  let run algorithm n waiters polls signalers static_indep cap jobs split_depth
-      json no_dedup no_por no_symmetry =
+  let run algorithm n waiters polls signalers static_indep cap json no_dedup
+      no_por no_symmetry =
     let open Smr in
     let setup =
       { (Core.Exhaustive.setup algorithm) with
-        n; waiters; polls; signalers; static_indep; cap; jobs; split_depth;
+        n; waiters; polls; signalers; static_indep; cap;
         dedup = not no_dedup; por = not no_por; symmetry = not no_symmetry }
     in
     accept ~cmd:"explore" (Core.Exhaustive.validate setup);
@@ -255,14 +234,14 @@ let explore_cmd =
           "symmetry: declined (waiter programs not interchangeable); running \
            without reduction@.";
     let r = Core.Exhaustive.search setup prepared in
-    Fmt.epr "search took %.2fs (%d jobs)@." r.Explore.stats.Explore.wall_s jobs;
+    Fmt.epr "search took %.2fs@." r.Explore.stats.Explore.wall_s;
     let (module A : Core.Signaling.POLLING) = algorithm in
     if json then
       print_string
         (Core.Results.to_json (Core.Exhaustive.table setup prepared r))
     else begin
       Fmt.pr "%s: %d histories%s, %s; %d states (%d dedup hits, %d orbit \
-              hits, %d POR prunes, %d tasks, max depth %d)@."
+              hits, %d POR prunes, max depth %d)@."
         A.name r.Explore.histories
         (if r.Explore.truncated > 0 then
            Printf.sprintf " (%d spin-truncated)" r.Explore.truncated
@@ -270,7 +249,7 @@ let explore_cmd =
         (if r.Explore.complete then "exhaustive" else "capped")
         r.Explore.stats.Explore.states r.Explore.stats.Explore.dedup_hits
         r.Explore.stats.Explore.orbit_hits r.Explore.stats.Explore.por_prunes
-        r.Explore.stats.Explore.tasks r.Explore.stats.Explore.max_depth;
+        r.Explore.stats.Explore.max_depth;
       Fmt.pr "intern: %d distinct keys, %d collisions, %d resizes, %d slots@."
         r.Explore.stats.Explore.fp_distinct
         r.Explore.stats.Explore.fp_collisions
@@ -294,7 +273,7 @@ let explore_cmd =
           configuration and check Specification 4.1.")
     Term.(
       const run $ algo $ n_arg $ waiters $ polls $ signalers $ static_indep
-      $ cap $ jobs $ split_depth $ json $ no_dedup $ no_por $ no_symmetry)
+      $ cap $ json $ no_dedup $ no_por $ no_symmetry)
 
 (* Play the Section 6 construction for subcommand [cmd]: what it cannot
    play exits 2, a phase that runs out of fuel exits 1, each with a

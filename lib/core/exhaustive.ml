@@ -11,8 +11,6 @@ type setup = {
   signalers : int;
   static_indep : bool;
   cap : int;
-  jobs : int;
-  split_depth : int;
   dedup : bool;
   por : bool;
   symmetry : bool;
@@ -26,8 +24,6 @@ let setup algorithm =
     signalers = 1;
     static_indep = false;
     cap = 1_000_000;
-    jobs = 1;
-    split_depth = 2;
     dedup = true;
     por = true;
     symmetry = true }
@@ -47,7 +43,6 @@ let validate s =
   let* () = nonneg "--signalers" s.signalers in
   let* () = nonneg "--polls" s.polls in
   let* () = nonneg "--cap" s.cap in
-  let* () = nonneg "--split-depth" s.split_depth in
   Signaling.validate_config A.flexibility (config s)
 
 type prepared = {
@@ -121,9 +116,9 @@ let prepare s =
 
 let search s p =
   Explore.check ~max_histories:s.cap ~dedup:s.dedup ~por:s.por
-    ~commute:p.commute ~jobs:s.jobs ~split_depth:s.split_depth
-    ~symmetry:p.symmetry ~layout:p.layout ~model:(Cost_model.dsm p.layout)
-    ~n:s.n ~scripts:p.scripts ~property:Signaling.polling_ok ()
+    ~commute:p.commute ~symmetry:p.symmetry ~layout:p.layout
+    ~model:(Cost_model.dsm p.layout) ~n:s.n ~scripts:p.scripts
+    ~property:Signaling.polling_ok ()
 
 let table s p (res : Explore.result) =
   let (module A : Signaling.POLLING) = s.algorithm in
@@ -139,20 +134,19 @@ let table s p (res : Explore.result) =
           ("polls", int s.polls); ("signalers", int s.signalers);
           ("cap", int s.cap); ("dedup", bool s.dedup); ("por", bool s.por);
           ("static_indep", bool s.static_indep);
-          ("symmetry", int (Sim.Pid_set.cardinal p.symmetry));
-          ("split_depth", int s.split_depth) ]
+          ("symmetry", int (Sim.Pid_set.cardinal p.symmetry)) ]
     ~columns:
       Results.
         [ measure "histories"; measure "truncated"; measure "complete";
           measure "violation"; measure "states"; measure "dedup_hits";
-          measure "por_prunes"; measure "tasks"; measure "max_depth";
-          measure "orbit_hits"; measure "fp_distinct"; measure "fp_collisions";
-          measure "fp_resizes"; measure "fp_slots" ]
+          measure "por_prunes"; measure "max_depth"; measure "orbit_hits";
+          measure "fp_distinct"; measure "fp_collisions"; measure "fp_resizes";
+          measure "fp_slots" ]
     Results.
       [ [ int res.Explore.histories; int res.Explore.truncated;
           bool res.Explore.complete; bool (res.Explore.violation <> None);
           int st.Explore.states; int st.Explore.dedup_hits;
-          int st.Explore.por_prunes; int st.Explore.tasks;
-          int st.Explore.max_depth; int st.Explore.orbit_hits;
-          int st.Explore.fp_distinct; int st.Explore.fp_collisions;
-          int st.Explore.fp_resizes; int st.Explore.fp_slots ] ]
+          int st.Explore.por_prunes; int st.Explore.max_depth;
+          int st.Explore.orbit_hits; int st.Explore.fp_distinct;
+          int st.Explore.fp_collisions; int st.Explore.fp_resizes;
+          int st.Explore.fp_slots ] ]

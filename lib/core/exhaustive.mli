@@ -15,8 +15,6 @@ type setup = {
       (** extend {!Smr.Op.commute} with the algorithm's static-independence
           facts *)
   cap : int;  (** maximum histories *)
-  jobs : int;
-  split_depth : int;
   dedup : bool;
   por : bool;
   symmetry : bool;  (** detect interchangeable waiters and reduce by them *)
@@ -24,13 +22,13 @@ type setup = {
 
 val setup : (module Signaling.POLLING) -> setup
 (** The CLI's defaults: N = 16, 2 waiters, 2 polls, 1 signaler, a cap of
-    10^6 histories, 1 job, split depth 2, every reduction on. *)
+    10^6 histories, every reduction on. *)
 
 val validate : setup -> (unit, string) result
 (** Rejects, with a message, what the search cannot run: fewer than one
-    process, negative counts or split depth, and role configurations the
-    algorithm's {!Signaling.validate_config} refuses (pids out of range,
-    too many waiters or signalers). *)
+    process, negative counts, and role configurations the algorithm's
+    {!Signaling.validate_config} refuses (pids out of range, too many
+    waiters or signalers). *)
 
 type prepared = {
   layout : Smr.Var.layout;
@@ -54,5 +52,5 @@ val search : setup -> prepared -> Smr.Explore.result
 
 val table : setup -> prepared -> Smr.Explore.result -> Results.table
 (** The one-row result table `separation explore --json` prints: only
-    [jobs]-invariant facts (wall time and [jobs] stay out), so runs at
-    different [jobs] compare byte for byte. *)
+    run-invariant facts (wall time stays out), so two runs compare byte
+    for byte. *)

@@ -7,8 +7,9 @@
    is just a retained binding) and evaluates a property on every complete
    history.
 
-   The naive step-level DFS explodes combinatorially, so three reductions
-   make exhaustive checking scale past toy scopes:
+   The naive step-level DFS explodes combinatorially, so two reductions
+   make exhaustive checking scale past toy scopes (a third, symmetry, is
+   described with its code below):
 
    - State deduplication.  A canonical fingerprint of (memory contents,
      per-process control point) identifies states whose futures coincide;
@@ -33,15 +34,6 @@
      moves).  Only one representative order per commuting pair is
      explored.
 
-   - Deterministic frontier parallelism.  The first [split_depth] levels
-     are expanded sequentially into independent subtree tasks which fan
-     out across domains via [Parallel.map]'s shared atomic task queue;
-     each task owns a private visited table and draws its history budget
-     as chunked leases from a shared atomic pool, and a reconciliation
-     pass in task order then restores the canonical sequential
-     accounting, so the merged verdict is byte-identical for every job
-     count.
-
    Four constant-factor decisions keep the per-state cost and the
    resident bytes per state flat (see docs/MODEL.md, "Exploration fast
    path"):
@@ -49,7 +41,7 @@
    - The search steps no [Sim.t].  A node is the persistent [Memory.t],
      the caller's [Cost_model.t], the event clock, the per-process
      metadata array and a persistent log of completed calls; a running
-     call's start time and RMR/step tallies live in per-task arrays that
+     call's start time and RMR/step tallies live in per-search arrays that
      are restored on backtrack.  That is everything the property contract
      (a list of call records) and the script contract (a {!view} of own
      call count and last result) read.  A violation is rebuilt afterwards
@@ -61,11 +53,11 @@
 
    - What the dedup table stores per state is one packed byte string: the
      observable memory cells and, per process, a few small ints, with
-     labels and response lists replaced by task-local ids.  Keys are
+     labels and response lists replaced by search-local ids.  Keys are
      compared byte for byte, and nothing of the live search (programs,
      response lists, snapshot arrays, memories) is retained by a key.
 
-   - Symmetric keys are canonicalized in per-task scratch: the permutation
+   - Symmetric keys are canonicalized in per-search scratch: the permutation
      is found without allocating, and the canonical hash and the packed
      key are computed through it, so no relabeled array is ever built.
 
@@ -84,14 +76,13 @@ type stats = {
   states : int; (* search nodes visited (dedup/POR-pruned nodes included) *)
   dedup_hits : int; (* nodes pruned because an equivalent state was explored *)
   por_prunes : int; (* nodes whose every enabled move was asleep *)
-  tasks : int; (* parallel subtree tasks the frontier split produced *)
   max_depth : int; (* deepest step count reached on any branch *)
   orbit_hits : int; (* dedup hits whose canonical key was relabeled *)
-  fp_distinct : int; (* distinct dedup keys interned, summed over tasks *)
+  fp_distinct : int; (* distinct dedup keys interned *)
   fp_collisions : int; (* full-hash collisions among distinct keys *)
-  fp_resizes : int; (* intern-table slot doublings, summed over tasks *)
-  fp_slots : int; (* intern-table slot capacity, summed over tasks *)
-  wall_s : float; (* wall-clock seconds (the only jobs-dependent field) *)
+  fp_resizes : int; (* intern-table slot doublings *)
+  fp_slots : int; (* intern-table slot capacity *)
+  wall_s : float; (* wall-clock seconds (the only run-dependent field) *)
 }
 
 type result = {
@@ -116,9 +107,9 @@ type move =
    process at the call's start (they determine how interval-order
    properties will judge the call once it completes).  The call's start
    time and RMR/step tallies, which only the property's call records read,
-   are kept in per-task arrays instead, so a move copies none of them.
+   are kept in per-search arrays instead, so a move copies none of them.
    Dedup keys do not retain these records: a key packs the label and the
-   responses as task-local ids, next to the seq and the snapshot. *)
+   responses as search-local ids, next to the seq and the snapshot. *)
 type call_meta = {
   program : Op.value Program.t;
       (* the call's remaining program — it yields the pending invocation
@@ -305,7 +296,7 @@ let mh_swap mh (meta : pmeta array) p pm =
    genuinely explored orbit representative.
 
    None of this builds a relabeled array.  The permutation is found in
-   per-task {!scratch}; the canonical hash and the packed key read the raw
+   per-search {!scratch}; the canonical hash and the packed key read the raw
    array through the inverse permutation, so the key the table compares
    and stores is already canonical.
 
@@ -315,7 +306,7 @@ let mh_swap mh (meta : pmeta array) p pm =
    subset test — comparing raw sleep pids against a twin's entries would
    prune interleavings no representative explored. *)
 
-(* The task-local ids a packed key writes in place of a running call's
+(* The search-local ids a packed key writes in place of a running call's
    label and response list, dense and in first-packed order.  Equal labels
    (equal responses) get equal ids and distinct ones distinct ids, so
    comparing ids decides what comparing the strings (the lists) would,
@@ -405,9 +396,9 @@ let list_id ids node =
     ids.lists - 1
   end
 
-(* Per-task canonicalization scratch; also holds the packed key of the
+(* Per-search canonicalization scratch; also holds the packed key of the
    state being probed, which {!Fp_intern} matches stored keys against.
-   Nothing here is shared between tasks. *)
+   Nothing here is shared between searches. *)
 type scratch = {
   sym_arr : int array; (* the interchangeable pids, ascending *)
   is_sym : bool array; (* indexed by pid: membership in [sym_arr] *)
@@ -835,17 +826,12 @@ let root ~model ~layout ~n =
 
 (* Start time and RMR/step tallies of each process's call in flight.  Only
    the property's call records read them, so they stay out of the nodes
-   (and out of the dedup keys): one mutable copy per task, written by a
+   (and out of the dedup keys): one mutable copy per search, written by a
    move and restored when the search backtracks over it. *)
 type tally = { started : int array; rmrs : int array; steps : int array }
 
 let tally0 n =
   { started = Array.make n 0; rmrs = Array.make n 0; steps = Array.make n 0 }
-
-let copy_tally t =
-  { started = Array.copy t.started;
-    rmrs = Array.copy t.rmrs;
-    steps = Array.copy t.steps }
 
 let set (meta : pmeta array) p pm =
   let meta' = Array.copy meta in
@@ -982,14 +968,14 @@ let step tl node p mv =
 let completed_by child p =
   match child.meta.(p) with P_idle _ -> true | P_running _ -> false
 
-(* [Some path]: a violation, with the moves from where the raising search
-   started; [None]: the history cap was hit. *)
+(* [Some path]: a violation, with the moves from the root; [None]: the
+   history cap was hit. *)
 exception Stopped of (Op.pid * move) list option
 
 (* Search [p]'s move [mv] from [node] with [f child ~completed], then put
    [p]'s tallies back.  A violation raised below gets the move prepended
    to its path on the way out, so the top of the search receives the path
-   from where it started. *)
+   from the root. *)
 let restoring tl node ((p, mv) as pm) f =
   let s0 = tl.started.(p) and r0 = tl.rmrs.(p) and n0 = tl.steps.(p) in
   let child = step tl node p mv in
@@ -1062,7 +1048,7 @@ let child_sleep ~por ~commute ~completed ms sleep explored mv =
 (* A visited key's sleep sets form a ⊆-antichain: a revisit is pruned iff
    some recorded set is a subset of its sleep set (no fewer awake moves);
    otherwise its set is recorded and the supersets it covers dropped.  The
-   antichains are hash-consed per task — a few hundred distinct lists
+   antichains are hash-consed per search — a few hundred distinct lists
    serve over a million keys — and the table stores each key's antichain
    as an id.  Top-level helpers, so checking a revisit allocates
    nothing. *)
@@ -1092,75 +1078,21 @@ let rec chain_equal c1 c2 =
 
 let intern_chain chains c = Fp_intern.intern chains ~hash:(chain_hash 0 c) c
 
-(* --- subtree exploration --- *)
+(* --- the search --- *)
 
-type task = {
-  t_node : node;
-  t_tally : tally; (* the node's tallies; each run searches a copy *)
-  t_path : (Op.pid * move) list; (* moves from the root to the node *)
-  t_sleep : Pid_set.t;
-  t_depth : int;
-  t_completed : bool; (* the move into this node completed a call *)
-}
-
-type sub = {
-  s_histories : int;
-  s_truncated : int;
-  s_states : int;
-  s_dedup : int;
-  s_por : int;
-  s_maxd : int;
-  s_violation : (Op.pid * move) list option; (* the path from the root *)
-  s_capped : bool;
-  s_orbit : int; (* dedup hits whose canonical key was relabeled *)
-  s_fp_distinct : int;
-  s_fp_collisions : int;
-  s_fp_resizes : int;
-  s_fp_slots : int;
-}
-
-(* How a subtree task may count leaves.
-
-   [B_fixed n]: count exactly up to [n] leaves, then stop "capped"
-   immediately after the [n]-th — the canonical sequential semantics.
-
-   [B_shared pool]: draw chunked leases from a shared atomic pool; a task
-   that cannot refill stops capped at the same program point (immediately
-   after the leaf that drained its allowance).  Leasing is first-come-
-   first-served and therefore scheduling-dependent; the reconciliation
-   pass in [check] restores the canonical accounting afterwards.  Unused
-   allowance is refunded when the task stops, so at jobs=1 the pool drains
-   exactly in task order and reconciliation accepts every task as-is. *)
-type budget_src = B_fixed of int | B_shared of int Atomic.t
-
-let lease_chunk = 64
-
-let take_lease pool =
-  let rec go () =
-    let avail = Atomic.get pool in
-    if avail <= 0 then 0
-    else
-      let want = min lease_chunk avail in
-      if Atomic.compare_and_set pool avail (avail - want) then want else go ()
-  in
-  go ()
-
-(* Depth-first exploration of one subtree with a private visited table and
-   history allowance.  With [B_fixed] the result is a pure function of the
-   task and the budget; with [B_shared] only the {e stop point} may vary
-   with scheduling, and it always lies immediately after some counted
-   leaf — which is what lets [check] reconcile shared-lease runs against
-   the fixed-budget semantics without re-exploring completed tasks. *)
-let explore_subtree ~dedup ~por ~commute ~property ~scripts
-    ~max_steps_per_history ~budget ~symmetry task =
+let check ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
+    ?(dedup = true) ?(por = true) ?(commute = Op.commute)
+    ?split_depth:(_ : int option) ?(symmetry = Pid_set.empty) ~layout ~model
+    ~n ~scripts ~property () =
+  let t0 = Obs.Clock.now_s () in
   (* State identity: (incremental hash, packed key) pairs interned to
      dense ints; the visited table and its sleep-set antichains then key
      on ints.  The tables, the ids the keys refer to and the
-     canonicalization scratch are task-private, so no synchronization. *)
+     canonicalization scratch belong to this search alone. *)
   let intern : string Fp_intern.t = Fp_intern.create ~equal:String.equal () in
-  let sc = scratch ~n:(Array.length task.t_node.meta) ~ids:(ids ()) symmetry in
+  let sc = scratch ~n ~ids:(ids ()) symmetry in
   let symmetric = Array.length sc.sym_arr >= 2 in
-  let tl = copy_tally task.t_tally in
+  let tl = tally0 n in
   let chains : Pid_set.t list Fp_intern.t =
     Fp_intern.create ~size:64 ~equal:chain_equal ()
   in
@@ -1182,18 +1114,11 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
   let histories = ref 0 and truncated = ref 0 and states = ref 0 in
   let dedup_hits = ref 0 and por_prunes = ref 0 and maxd = ref 0 in
   let orbit_hits = ref 0 in
-  let credits = ref 0 in (* leaves we may still count before refilling *)
   let leaf ~checked node =
     incr histories;
     if (not checked) && not (property (calls tl node)) then
       raise (Stopped (Some []));
-    decr credits;
-    if !credits = 0 then begin
-      (match budget with
-      | B_fixed _ -> ()
-      | B_shared pool -> credits := take_lease pool);
-      if !credits = 0 then raise (Stopped None)
-    end
+    if !histories >= max_histories then raise (Stopped None)
   in
   let rec visit node sleep depth ~completed =
     incr states;
@@ -1274,235 +1199,29 @@ let explore_subtree ~dedup ~por ~commute ~property ~scripts
         intern_chain chains (csleep :: drop_supersets csleep entries);
     not hit
   in
-  let initial_credits =
-    match budget with B_fixed n -> max 0 n | B_shared pool -> take_lease pool
-  in
   let violation, capped =
-    if initial_credits <= 0 then (None, true)
-    else begin
-      credits := initial_credits;
-      let outcome =
-        match
-          visit task.t_node task.t_sleep task.t_depth
-            ~completed:task.t_completed
-        with
-        | () -> (None, false)
-        | exception Stopped None -> (None, true)
-        | exception Stopped (Some path) -> (Some (task.t_path @ path), false)
-      in
-      (* Return what we did not consume, so later tasks can lease it. *)
-      (match budget with
-      | B_fixed _ -> ()
-      | B_shared pool ->
-        ignore (Atomic.fetch_and_add pool !credits);
-        credits := 0);
-      outcome
-    end
+    if max_histories <= 0 then (None, true)
+    else
+      match visit (root ~model ~layout ~n) Pid_set.empty 0 ~completed:false with
+      | () -> (None, false)
+      | exception Stopped None -> (None, true)
+      | exception Stopped (Some path) -> (Some path, false)
   in
-  { s_histories = !histories;
-    s_truncated = !truncated;
-    s_states = !states;
-    s_dedup = !dedup_hits;
-    s_por = !por_prunes;
-    s_maxd = !maxd;
-    s_violation = violation;
-    s_capped = capped;
-    s_orbit = !orbit_hits;
-    s_fp_distinct = Fp_intern.distinct intern;
-    s_fp_collisions = Fp_intern.collisions intern;
-    s_fp_resizes = Fp_intern.resizes intern;
-    s_fp_slots = Fp_intern.slots intern }
-
-(* Expand the first [split_depth] levels sequentially (POR-aware, property
-   checked, leaves and truncations accounted) and collect the depth-
-   [split_depth] nodes as independent tasks, in DFS order.  The expansion
-   never dedups — frontier nodes must all be produced so that the task
-   list, and hence the merged verdict, is a pure function of the input. *)
-let expand ~por ~commute ~property ~scripts ~max_steps_per_history
-    ~max_histories ~split_depth root =
-  let tasks = ref [] in
-  let histories = ref 0 and truncated = ref 0 and states = ref 0 in
-  let maxd = ref 0 in
-  let tl = tally0 (Array.length root.meta) in
-  let leaf ~checked node =
-    incr histories;
-    if (not checked) && not (property (calls tl node)) then
-      raise (Stopped (Some []));
-    if !histories >= max_histories then raise (Stopped None)
-  in
-  let rec visit node path_rev sleep depth ~completed =
-    if depth >= split_depth && moves scripts node.meta <> []
-       && depth < max_steps_per_history
-    then
-      tasks :=
-        { t_node = node;
-          t_tally = copy_tally tl;
-          t_path = List.rev path_rev;
-          t_sleep = sleep;
-          t_depth = depth;
-          t_completed = completed }
-        :: !tasks
-    else begin
-      incr states;
-      if depth > !maxd then maxd := depth;
-      let checked =
-        completed
-        && (property (calls tl node) || raise (Stopped (Some [])))
-      in
-      if depth >= max_steps_per_history then begin
-        incr truncated;
-        leaf ~checked node
-      end
-      else
-        match moves scripts node.meta with
-        | [] -> leaf ~checked node
-        | ms ->
-          ignore
-            (List.fold_left
-               (fun explored ((p, mv) as pm) ->
-                 if Pid_set.mem p sleep then explored
-                 else begin
-                   restoring tl node pm (fun child ~completed ->
-                       visit child (pm :: path_rev)
-                         (child_sleep ~por ~commute ~completed ms sleep
-                            explored mv)
-                         (depth + 1) ~completed);
-                   Pid_set.add p explored
-                 end)
-               Pid_set.empty ms)
-    end
-  in
-  let stopped =
-    match visit root [] Pid_set.empty 0 ~completed:false with
-    | () -> None
-    | exception Stopped v -> Some v
-  in
-  (List.rev !tasks, !histories, !truncated, !states, !maxd, stopped)
-
-let default_split_depth = 2
-
-let zero_capped_sub =
-  { s_histories = 0;
-    s_truncated = 0;
-    s_states = 0;
-    s_dedup = 0;
-    s_por = 0;
-    s_maxd = 0;
-    s_violation = None;
-    s_capped = true;
-    s_orbit = 0;
-    s_fp_distinct = 0;
-    s_fp_collisions = 0;
-    s_fp_resizes = 0;
-    s_fp_slots = 0 }
-
-let check ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
-    ?(dedup = true) ?(por = true) ?(commute = Op.commute) ?(jobs = 1)
-    ?(split_depth = default_split_depth) ?(symmetry = Pid_set.empty)
-    ~layout ~model ~n ~scripts ~property () =
-  (* Monotonic wall clock, not [Sys.time] (which is CPU time and so *shrinks*
-     relative to elapsed time exactly when [jobs] > 1 parallelizes the search
-     — or inflates, summing across domains, depending on the runtime). *)
-  let t0 = Obs.Clock.now_s () in
-  let split_depth = max 0 split_depth in
-  let tasks, pre_h, pre_t, pre_states, pre_maxd, stopped =
-    expand ~por ~commute ~property ~scripts ~max_steps_per_history
-      ~max_histories ~split_depth (root ~model ~layout ~n)
-  in
-  let finish ~histories ~truncated ~states ~dedup_hits ~por_prunes ~tasks:k
-      ~max_depth ~orbit_hits ~fp_distinct ~fp_collisions ~fp_resizes
-      ~fp_slots ~violation ~capped =
-    { histories;
-      truncated;
-      complete = violation = None && (not capped) && truncated = 0;
-      violation = Option.map (replay ~model ~layout ~n) violation;
-      stats =
-        { states;
-          dedup_hits;
-          por_prunes;
-          tasks = k;
-          max_depth;
-          orbit_hits;
-          fp_distinct;
-          fp_collisions;
-          fp_resizes;
-          fp_slots;
-          wall_s = Obs.Clock.elapsed_s ~since:t0 } }
-  in
-  match stopped with
-  | Some v ->
-    (* The expansion itself found a violation or hit the cap; subtree tasks
-       are skipped, deterministically. *)
-    finish ~histories:pre_h ~truncated:pre_t ~states:pre_states ~dedup_hits:0
-      ~por_prunes:0 ~tasks:0 ~max_depth:pre_maxd ~orbit_hits:0 ~fp_distinct:0
-      ~fp_collisions:0 ~fp_resizes:0 ~fp_slots:0 ~violation:v
-      ~capped:(v = None)
-  | None ->
-    let k = List.length tasks in
-    let run_task budget task =
-      explore_subtree ~dedup ~por ~commute ~property ~scripts
-        ~max_steps_per_history ~budget ~symmetry task
-    in
-    (* Dynamic work-sharing: tasks are drained from [Parallel.map]'s shared
-       atomic queue, and each draws history allowance as chunked leases
-       from one shared pool — so no task idles on a private slice of the
-       budget while a spin-heavy sibling starves. *)
-    let remaining_cap = max 0 (max_histories - pre_h) in
-    let pool = Atomic.make remaining_cap in
-    let raw = Parallel.map ~jobs (run_task (B_shared pool)) tasks in
-    (* Reconciliation, in task order: normalize the first-come-first-served
-       lease accounting back to the canonical semantics "task [i] may
-       count whatever of [max_histories] its predecessors left over".  A
-       task is accepted as-is when its recorded run provably equals the
-       fixed-budget run — it finished naturally within the remaining
-       budget, or it stopped by exhaustion exactly at the remaining budget
-       (same stop point, immediately after that leaf).  Anything else
-       (starved by concurrent leases, or run past what the sequential
-       budget allows) is re-run with the exact fixed budget; re-runs cost
-       at most the budget they are given and only arise on capped
-       searches.  The accepted list — and therefore every reported number
-       and the surviving violation — is a pure function of the task list,
-       independent of [jobs] and of lease scheduling. *)
-    let subs =
-      let budget_left = ref remaining_cap in
-      List.map2
-        (fun task s ->
-          let b = !budget_left in
-          if b <= 0 then zero_capped_sub
-          else if (not s.s_capped) && s.s_histories < b then begin
-            budget_left := b - s.s_histories;
-            s
-          end
-          else if s.s_capped && s.s_histories = b then begin
-            budget_left := 0;
-            s
-          end
-          else begin
-            let s' = run_task (B_fixed b) task in
-            budget_left := b - s'.s_histories;
-            s'
-          end)
-        tasks raw
-    in
-    let violation =
-      List.find_map (fun s -> s.s_violation) subs (* first in task order *)
-    in
-    let sum f = List.fold_left (fun acc s -> acc + f s) 0 subs in
-    finish
-      ~histories:(pre_h + sum (fun s -> s.s_histories))
-      ~truncated:(pre_t + sum (fun s -> s.s_truncated))
-      ~states:(pre_states + sum (fun s -> s.s_states))
-      ~dedup_hits:(sum (fun s -> s.s_dedup))
-      ~por_prunes:(sum (fun s -> s.s_por))
-      ~tasks:k
-      ~max_depth:(List.fold_left (fun acc s -> max acc s.s_maxd) pre_maxd subs)
-      ~orbit_hits:(sum (fun s -> s.s_orbit))
-      ~fp_distinct:(sum (fun s -> s.s_fp_distinct))
-      ~fp_collisions:(sum (fun s -> s.s_fp_collisions))
-      ~fp_resizes:(sum (fun s -> s.s_fp_resizes))
-      ~fp_slots:(sum (fun s -> s.s_fp_slots))
-      ~violation
-      ~capped:(List.exists (fun s -> s.s_capped) subs)
+  { histories = !histories;
+    truncated = !truncated;
+    complete = violation = None && (not capped) && !truncated = 0;
+    violation = Option.map (replay ~model ~layout ~n) violation;
+    stats =
+      { states = !states;
+        dedup_hits = !dedup_hits;
+        por_prunes = !por_prunes;
+        max_depth = !maxd;
+        orbit_hits = !orbit_hits;
+        fp_distinct = Fp_intern.distinct intern;
+        fp_collisions = Fp_intern.collisions intern;
+        fp_resizes = Fp_intern.resizes intern;
+        fp_slots = Fp_intern.slots intern;
+        wall_s = Obs.Clock.elapsed_s ~since:t0 } }
 
 (* Internal canonicalization and key-packing machinery, re-exported under
    stable constructors so the test suite can state the canonicalization laws

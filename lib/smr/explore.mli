@@ -6,17 +6,16 @@
     exhaustive checking scale well past the naive DFS: canonical
     state-fingerprint deduplication, sleep-set partial-order reduction
     over {!Op.commute}, and symmetry reduction over interchangeable
-    waiters; a deterministic frontier split fans the search out across
-    OCaml 5 domains.  Verdicts and statistics (wall time aside) are
-    byte-identical for every [jobs] value.
+    waiters.  The search is one depth-first pass over one dedup table, so
+    verdicts and statistics (wall time aside) are the same on every run.
 
     The search does not step a {!Sim.t}: it steps memory and the caller's
     cost model directly, keeping exactly what the two contracts below
-    read.  It does no file I/O: each subtree task keeps its visited states
-    in memory, as packed keys interned to {!Fp_intern} ids with their
-    sleep-set antichains, so
-    resident memory grows with [stats.fp_distinct].  A violating history
-    is rebuilt afterwards as a full-history machine (see {!result}).
+    read.  It does no file I/O: it keeps its visited states in memory, as
+    packed keys interned to {!Fp_intern} ids with their sleep-set
+    antichains, so resident memory grows with [stats.fp_distinct].  A
+    violating history is rebuilt afterwards as a full-history machine (see
+    {!result}).
 
     {b Soundness contract.}  With [dedup]/[por] on (the default), the
     property must be a function of the recorded calls' results and of
@@ -61,28 +60,25 @@ type stats = {
           ~por:false] run *)
   dedup_hits : int;  (** nodes pruned as equivalent to an explored state *)
   por_prunes : int;  (** nodes whose every enabled move was asleep *)
-  tasks : int;  (** independent subtree tasks the frontier split produced *)
   max_depth : int;  (** deepest step count reached on any branch *)
   orbit_hits : int;
       (** dedup hits whose canonical key required a non-identity waiter
           relabeling — the pruning attributable to symmetry reduction
           specifically (0 when [symmetry] is empty) *)
   fp_distinct : int;
-      (** distinct dedup keys (orbit representatives) interned, summed
-          over subtree tasks *)
+      (** distinct dedup keys (orbit representatives) interned *)
   fp_collisions : int;
       (** distinct keys that landed on an already-occupied full hash —
           hash-quality diagnostic, never a soundness signal *)
-  fp_resizes : int;  (** intern-table slot doublings, summed over tasks *)
+  fp_resizes : int;  (** intern-table slot doublings *)
   fp_slots : int;
-      (** intern-table slot capacity, summed over tasks; [fp_distinct /.
-          fp_slots] is the aggregate occupancy *)
+      (** intern-table slot capacity; [fp_distinct /. fp_slots] is the
+          occupancy *)
   wall_s : float;
       (** elapsed seconds on the monotonic {e wall} clock ({!Obs.Clock},
-          not [Sys.time], which measures CPU time and is distorted by
-          multi-domain runs); the only field that varies with [jobs] and
-          across hosts — keep it out of any byte-comparison or golden
-          fixture. *)
+          not [Sys.time], which measures CPU time); the only field that
+          varies from run to run and across hosts — keep it out of any
+          byte-comparison or golden fixture. *)
 }
 
 type result = {
@@ -95,7 +91,7 @@ type result = {
       (** a history falsifying the property: the search's move path
           replayed on a fresh full-history machine under the caller's
           [model], so {!Sim.steps}, {!Sim.calls} and {!Timeline} all work
-          on it, and it is the same for every [jobs] *)
+          on it, and it is the same on every run *)
   stats : stats;
 }
 
@@ -135,7 +131,6 @@ val check :
   ?dedup:bool ->
   ?por:bool ->
   ?commute:(Op.invocation -> Op.invocation -> bool) ->
-  ?jobs:int ->
   ?split_depth:int ->
   ?symmetry:Sim.Pid_set.t ->
   layout:Var.layout ->
@@ -152,14 +147,9 @@ val check :
     properties over recorded calls (violations persist) and is what makes
     pruning sound.  Each record's [c_rmrs] is billed under [model].
 
-    [max_histories] is a deterministic budget: after the first
-    [split_depth] (default 2) levels are expanded into subtree tasks, the
-    remaining budget is shared dynamically — tasks draw chunked leases
-    from one atomic pool, so no task idles on a private slice while a
-    spin-heavy sibling starves — and a reconciliation pass in task order
-    then restores the canonical sequential accounting ("each task may
-    count whatever its predecessors left over"), so the reported counts
-    are independent of [jobs] and of lease scheduling.
+    [max_histories] (default 10{^6}) caps the histories checked: the
+    search stops right after the [max_histories]-th leaf and reports
+    itself incomplete; at 0 or below it checks nothing.
 
     [commute] (default {!Op.commute}) is the independence relation the
     sleep-set POR consults for advance/advance pairs.  A replacement must
@@ -168,14 +158,12 @@ val check :
     reachable state must produce the same memory fingerprint and the same
     responses (the {!Commute_check} standard).  {!Analysis.Independence}
     computes such relations statically from the algorithm's CFGs; an
-    unsound relation silently prunes real interleavings.  Verdicts and all
-    reported counts remain byte-identical across [jobs] for any fixed
-    [commute] — the relation changes {e which} states are pruned, never
-    the determinism of the accounting.
+    unsound relation silently prunes real interleavings.
 
-    [jobs] (default 1) fans the subtree tasks out across domains via
-    {!Parallel.map}; every field of the result except [stats.wall_s] is
-    byte-identical for every value.
+    [split_depth] is ignored: the search is always one depth-first pass
+    over one dedup table.  It is accepted only so that callers still
+    passing it (the benchmark's explore workloads) keep compiling, and
+    goes once they drop it.
 
     [symmetry] (default empty) names interchangeable pids: before a state
     meets the dedup tables, its key — never the live search state — is
@@ -187,16 +175,13 @@ val check :
     {!detect_symmetry} — and the property is invariant under their
     permutation, as Specification 4.1 is.  The verdict ([violation]
     presence, [complete]) is unchanged by a sound [symmetry]; [states],
-    [dedup_hits] and [histories] legitimately shrink.  All reported
-    numbers stay byte-identical across [jobs] for any fixed [symmetry].
+    [dedup_hits] and [histories] legitimately shrink.
 
-    With dedup on, every distinct key a task reaches stays resident until
-    the task ends, and tasks running at once hold their tables side by
-    side; [split_depth:0] runs one task, so one table sees every state.
-    A key is one packed byte string (the observable memory cells and a
-    few small ints per process, labels and response lists as task-local
-    ids) plus its table slots and an antichain id: at [split_depth:0] on
-    cc-flag with 2 polls, the heap peaks at about 160 bytes per distinct
+    With dedup on, every distinct key the search reaches stays resident
+    until it ends.  A key is one packed byte string (the observable
+    memory cells and a few small ints per process, labels and response
+    lists as search-local ids) plus its table slots and an antichain id:
+    on cc-flag with 2 polls, the heap peaks at about 160 bytes per distinct
     key with 5 waiters and 180 with 6, and a key does not grow with how
     long a call has spun (see docs/MODEL.md, "Exploration fast path" and
     "Symmetry reduction", for the peak memory measured at the largest
@@ -240,11 +225,11 @@ module Testing : sig
       through the permutation, without building the canonical array. *)
 
   type ids
-  (** The task-local ids a key writes for labels and response lists, as
-      one search task assigns them. *)
+  (** The search-local ids a key writes for labels and response lists, as
+      one search assigns them. *)
 
   val ids : unit -> ids
-  (** Fresh ids, as a new search task starts with. *)
+  (** Fresh ids, as a new search starts with. *)
 
   val key :
     ?ids:ids -> symmetry:Sim.Pid_set.t -> Memory.t -> slot array -> string

@@ -9,8 +9,8 @@
    then review the diff before committing. *)
 
 (* Byte-identical to `separation explore -a ALGO -n N -k K --polls P
-   --split-depth 0 --json`: the search counters of a monolithic search,
-   pinned so a change to the explorer that moves any of them shows. *)
+   --json`: the search counters, pinned so a change to the explorer that
+   moves any of them shows. *)
 let explore ~algorithm ~n ~waiters ~polls () =
   let setup =
     { (Core.Exhaustive.setup
@@ -18,8 +18,7 @@ let explore ~algorithm ~n ~waiters ~polls () =
       with
       n;
       waiters;
-      polls;
-      split_depth = 0 }
+      polls }
   in
   let prepared = Core.Exhaustive.prepare setup in
   Core.Results.to_json

@@ -44,9 +44,9 @@ let cases =
     ("-a cc-flag -n 3 --polls=-2", 2,
      "separation: explore: --polls must be >= 0, got -2");
     ("-a cc-flag -n 3 --cap=-5", 2, "separation: explore: --cap must be >= 0, got -5");
-    ("-a cc-flag -n 3 --split-depth=-1", 2,
-     "separation: explore: --split-depth must be >= 0, got -1");
     ("-a cc-flag -n 3 --mem-budget 64", 124, "unknown option '--mem-budget'");
+    ("-a cc-flag -n 3 --split-depth 0", 124, "unknown option '--split-depth'");
+    ("-a cc-flag -n 3 --jobs 2", 124, "unknown option '--jobs'");
     ("-a nope", 124, "unknown algorithm \"nope\"");
     ("-a cc-flag -k=-1", 124, "invalid value");
     (* Accepted now: symmetry detection used to raise on dsm-queue's

@@ -174,19 +174,18 @@ let test_multi_signaler_exhaustive () =
   in
   check_no_violation "multi-signaler" r
 
-(* --- reduction effectiveness, scale, and parallel determinism --- *)
+(* --- reduction effectiveness, scale, and determinism --- *)
 
 let test_reduction_ratio () =
   (* The reference configuration of the rewrite: dedup + POR must visit at
      least 10x fewer states than the naive enumeration while returning the
-     same verdict.  [split_depth:0] keeps both searches monolithic so the
-     state counts are directly comparable (no per-task private tables). *)
+     same verdict. *)
   let layout, scripts =
     scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2
   in
   let run ~dedup ~por =
-    Explore.check ~dedup ~por ~split_depth:0 ~layout
-      ~model:(Cost_model.dsm layout) ~n:3 ~scripts ~property:spec_ok ()
+    Explore.check ~dedup ~por ~layout ~model:(Cost_model.dsm layout) ~n:3
+      ~scripts ~property:spec_ok ()
   in
   let reduced = run ~dedup:true ~por:true in
   let naive = run ~dedup:false ~por:false in
@@ -208,7 +207,7 @@ let test_previously_infeasible_scope () =
   check_no_violation "cc-flag (3 waiters)" r;
   check_true "fully enumerated" r.Explore.complete
 
-(* Everything jobs-invariant in a result: all counters plus the violation's
+(* Everything a rerun must reproduce: all counters plus the violation's
    recorded calls; only [stats.wall_s] may differ between runs. *)
 let comparable (r : Explore.result) =
   let s = r.Explore.stats in
@@ -219,7 +218,6 @@ let comparable (r : Explore.result) =
     ( s.Explore.states,
       s.Explore.dedup_hits,
       s.Explore.por_prunes,
-      s.Explore.tasks,
       s.Explore.max_depth,
       s.Explore.orbit_hits ),
     ( s.Explore.fp_distinct,
@@ -227,23 +225,10 @@ let comparable (r : Explore.result) =
       s.Explore.fp_resizes,
       s.Explore.fp_slots ) )
 
-let test_jobs_deterministic () =
-  let layout, scripts =
-    scripts_for (module Cc_flag) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:2
-  in
-  let run jobs =
-    Explore.check ~jobs ~layout ~model:(Cost_model.dsm layout) ~n:4 ~scripts
-      ~property:spec_ok ()
-  in
-  let r1 = run 1 and r4 = run 4 in
-  check_true "jobs=1 and jobs=4 agree on every field but wall time"
-    (comparable r1 = comparable r4)
-
 (* A deliberately broken algorithm: Signal() writes a decoy variable and
    never touches the flag Poll() reads, so every Poll() after a completed
    Signal() still returns false — the second clause of Specification 4.1.
-   The checker must find this mutation, and must report the same violating
-   history at every parallelism level. *)
+   The checker must find this mutation. *)
 module Broken_cc_flag = struct
   let name = "broken-cc-flag"
   let description = "mutation: Signal writes the wrong variable"
@@ -264,21 +249,13 @@ let test_mutation_caught () =
   let layout, scripts =
     scripts_for (module Broken_cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2
   in
-  let run jobs =
-    Explore.check ~jobs ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
-      ~property:spec_ok ()
-  in
-  let violating_calls jobs =
-    match (run jobs).Explore.violation with
-    | None -> Alcotest.failf "jobs=%d: mutation not caught" jobs
-    | Some sim -> Sim.calls sim
-  in
-  let c1 = violating_calls 1 in
-  check_true "violating history non-empty" (c1 <> []);
-  check_true "jobs=2 reports the same violating history"
-    (violating_calls 2 = c1);
-  check_true "jobs=4 reports the same violating history"
-    (violating_calls 4 = c1)
+  match
+    (Explore.check ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
+       ~property:spec_ok ())
+      .Explore.violation
+  with
+  | None -> Alcotest.fail "mutation not caught"
+  | Some sim -> check_true "violating history non-empty" (Sim.calls sim <> [])
 
 let test_fast_property_agrees () =
   (* [Signaling.polling_ok] (the allocation-free form the CLI feeds the
@@ -301,22 +278,21 @@ let test_fast_property_agrees () =
 
 (* --- budget determinism and fingerprint interning --- *)
 
-let test_capped_jobs_deterministic () =
-  (* A budget that stops the search mid-subtree: the shared lease pool is
-     drained first-come-first-served, so reconciliation must restore the
-     canonical accounting — every number identical at every jobs. *)
+let test_capped_deterministic () =
+  (* A budget that stops the search midway: the full search checks 277
+     histories here, so a budget of 40 binds, and a rerun stops at the
+     same leaf with every number identical. *)
   let layout, scripts =
     scripts_for (module Cc_flag) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:2
   in
-  let run jobs =
-    Explore.check ~max_histories:500 ~jobs ~layout
-      ~model:(Cost_model.dsm layout) ~n:4 ~scripts ~property:spec_ok ()
+  let run () =
+    Explore.check ~max_histories:40 ~layout ~model:(Cost_model.dsm layout)
+      ~n:4 ~scripts ~property:spec_ok ()
   in
-  let r1 = run 1 in
-  check_false "capped" r1.Explore.complete;
-  check_int "stops exactly at the budget" 500 r1.Explore.histories;
-  check_true "jobs=2 identical" (comparable (run 2) = comparable r1);
-  check_true "jobs=4 identical" (comparable (run 4) = comparable r1)
+  let r = run () in
+  check_false "capped" r.Explore.complete;
+  check_int "stops exactly at the budget" 40 r.Explore.histories;
+  check_true "a rerun is identical" (comparable (run ()) = comparable r)
 
 let test_fp_intern_ids () =
   (* Two distinct keys forced onto one hash: distinct, stable, dense ids;
@@ -763,75 +739,53 @@ let test_symmetry_preserves_verdict () =
 
 let test_symmetry_mutation_caught () =
   (* The broken signaler's waiters still run identical Poll() programs, so
-     symmetry reduction applies — and must not prune the violation away,
-     at any parallelism level. *)
+     symmetry reduction applies — and must not prune the violation away. *)
   let layout, scripts, symmetry =
     scripts_sym (module Broken_cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2
   in
   check_int "mutant waiters interchangeable" 2 (Sim.Pid_set.cardinal symmetry);
-  let violating_calls jobs =
-    let r =
-      Explore.check ~jobs ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n:3
-        ~scripts ~property:spec_ok ()
-    in
-    match r.Explore.violation with
-    | None -> Alcotest.failf "jobs=%d: mutation not caught under symmetry" jobs
-    | Some sim -> Sim.calls sim
-  in
-  let c1 = violating_calls 1 in
-  check_true "violating history non-empty" (c1 <> []);
-  check_true "jobs=2 agrees" (violating_calls 2 = c1);
-  check_true "jobs=4 agrees" (violating_calls 4 = c1)
+  match
+    (Explore.check ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n:3
+       ~scripts ~property:spec_ok ())
+      .Explore.violation
+  with
+  | None -> Alcotest.fail "mutation not caught under symmetry"
+  | Some sim -> check_true "violating history non-empty" (Sim.calls sim <> [])
 
-let test_symmetry_jobs_deterministic () =
+let test_symmetry_deterministic () =
   let layout, scripts, symmetry =
     scripts_sym (module Cc_flag) ~n:5 ~waiters:[ 1; 2; 3; 4 ] ~polls:2
   in
   check_int "four interchangeable waiters" 4 (Sim.Pid_set.cardinal symmetry);
-  let run jobs =
-    Explore.check ~jobs ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n:5
+  let run () =
+    Explore.check ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n:5
       ~scripts ~property:spec_ok ()
   in
-  let r1 = run 1 and r2 = run 2 and r4 = run 4 in
-  check_true "4-waiter scope enumerates exhaustively" r1.Explore.complete;
-  check_true "jobs=2 identical" (comparable r2 = comparable r1);
-  check_true "jobs=4 identical" (comparable r4 = comparable r1)
+  let r = run () in
+  check_true "4-waiter scope enumerates exhaustively" r.Explore.complete;
+  check_true "a rerun is identical" (comparable (run ()) = comparable r)
 
 (* --- the violation machine --- *)
 
 let test_violation_full_history () =
   (* The search steps no machine; a violation comes back as its move path
      replayed on a fresh full-history [Sim] — steps recorded, the timeline
-     renderable — and the search is deterministic, so the replayed machine
-     is the same at every parallelism level, with and without symmetry. *)
+     renderable — with and without symmetry. *)
   let layout, scripts, symmetry =
     scripts_sym (module Broken_cc_flag) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:2
   in
-  let violation ~symmetry jobs =
-    match
-      (Explore.check ~jobs ~symmetry ~layout ~model:(Cost_model.dsm layout)
-         ~n:4 ~scripts ~property:spec_ok ())
-        .Explore.violation
-    with
-    | Some sim -> sim
-    | None -> Alcotest.failf "jobs=%d: mutation not caught" jobs
-  in
   List.iter
     (fun symmetry ->
-      let v1 = violation ~symmetry 1 in
-      check_true "the violation machine keeps its steps" (Sim.steps v1 <> []);
-      check_true "and fails the property" (not (spec_ok (Sim.calls v1)));
-      check_true "its timeline renders" (Timeline.render v1 <> "");
-      List.iter
-        (fun jobs ->
-          let v = violation ~symmetry jobs in
-          check_true
-            (Printf.sprintf "jobs=%d: same steps" jobs)
-            (Sim.steps v = Sim.steps v1);
-          check_true
-            (Printf.sprintf "jobs=%d: same calls" jobs)
-            (Sim.calls v = Sim.calls v1))
-        [ 2; 4 ])
+      match
+        (Explore.check ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n:4
+           ~scripts ~property:spec_ok ())
+          .Explore.violation
+      with
+      | None -> Alcotest.fail "mutation not caught"
+      | Some v ->
+        check_true "the violation machine keeps its steps" (Sim.steps v <> []);
+        check_true "and fails the property" (not (spec_ok (Sim.calls v)));
+        check_true "its timeline renders" (Timeline.render v <> ""))
     [ symmetry; Sim.Pid_set.empty ]
 
 (* [Array.sort]'s algorithm, copied for the canonicalizer: same result
@@ -893,11 +847,11 @@ let test_property_sees_sim_calls () =
                 (handed := calls;
                  false)
               in
-              (* One task, so the first failing evaluation is the one the
-                 search stops at and reports. *)
+              (* The first failing evaluation is the one the search stops
+                 at and reports. *)
               let r =
-                Explore.check ~split_depth:0 ~layout ~model:(model layout) ~n:3
-                  ~scripts ~property ()
+                Explore.check ~layout ~model:(model layout) ~n:3 ~scripts
+                  ~property ()
               in
               let what = Printf.sprintf "%s/%s, k=%d" name model_name k in
               match r.Explore.violation with
@@ -914,16 +868,12 @@ let test_property_sees_sim_calls () =
     cases
 
 let test_cc_flag_golden () =
-  (* Every search counter of the 4-waiter monolithic cc-flag search, pinned
-     byte for byte to `separation explore -a cc-flag -n 5 -k 4 --polls 2
-     --split-depth 0 --json`; regenerate with `dune exec
-     test/golden/gen.exe` only when a counter is meant to move. *)
+  (* Every search counter of the 4-waiter cc-flag search, pinned byte for
+     byte to `separation explore -a cc-flag -n 5 -k 4 --polls 2 --json`;
+     regenerate with `dune exec test/golden/gen.exe` only when a counter is
+     meant to move. *)
   let setup =
-    { (Exhaustive.setup (module Cc_flag)) with
-      n = 5;
-      waiters = 4;
-      polls = 2;
-      split_depth = 0 }
+    { (Exhaustive.setup (module Cc_flag)) with n = 5; waiters = 4; polls = 2 }
   in
   Alcotest.(check string)
     "golden explore JSON"
@@ -932,27 +882,14 @@ let test_cc_flag_golden () =
      Results.to_json
        (Exhaustive.table setup prepared (Exhaustive.search setup prepared)))
 
-(* The scenario refuses a negative split depth itself, so the benchmark and
-   the golden generator, which build setups without the CLI, cannot run a
-   monolithic search that reports a depth it did not use. *)
-let test_setup_refuses_negative_split_depth () =
-  let setup = { (Exhaustive.setup (module Cc_flag)) with n = 3 } in
-  let msg = "--split-depth must be >= 0, got -1" in
-  check_true "split depth 0 is accepted"
-    (Exhaustive.validate { setup with split_depth = 0 } = Ok ());
-  check_true "split depth -1 is refused with a message"
-    (Exhaustive.validate { setup with split_depth = -1 } = Error msg);
-  Alcotest.check_raises "prepare refuses it too" (Invalid_argument msg)
-    (fun () -> ignore (Exhaustive.prepare { setup with split_depth = -1 }))
-
 (* --- independent searches --- *)
 
-(* Each search owns its dedup table: two searches started together, each
-   split over two jobs, report exactly what one search run alone reports. *)
+(* Each search owns its dedup table: two searches started together on two
+   domains report exactly what one search run alone reports. *)
 let test_concurrent_searches_independent () =
   let layout, scripts = scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
   let run () =
-    Explore.check ~jobs:2 ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
+    Explore.check ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
       ~property:spec_ok ()
   in
   let alone = comparable (run ()) in
@@ -970,7 +907,7 @@ let test_fp_stats_exposed () =
   let r = explore (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
   let s = r.Explore.stats in
   check_true "distinct keys counted" (s.Explore.fp_distinct > 0);
-  check_true "a task allocated intern slots" (s.Explore.fp_slots > 0);
+  check_true "intern slots allocated" (s.Explore.fp_slots > 0);
   check_true "intern load kept under 1/2"
     (2 * s.Explore.fp_distinct <= s.Explore.fp_slots);
   (* Collisions cost a confirming compare, never soundness.  Structurally
@@ -986,8 +923,8 @@ let test_state_hash_collision_free () =
   let collisions (module A : Signaling.POLLING) ~n ~waiters ~polls =
     let layout, scripts, symmetry = scripts_sym (module A) ~n ~waiters ~polls in
     let r =
-      Explore.check ~split_depth:0 ~symmetry ~layout
-        ~model:(Cost_model.dsm layout) ~n ~scripts ~property:spec_ok ()
+      Explore.check ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n
+        ~scripts ~property:spec_ok ()
     in
     check_true "search complete" r.Explore.complete;
     r.Explore.stats.Explore.fp_collisions
@@ -1014,12 +951,11 @@ let suite =
     case "dedup+por: >=10x fewer states than naive" test_reduction_ratio;
     case "3 waiters x 2 polls enumerates exhaustively"
       test_previously_infeasible_scope;
-    case "verdict identical across jobs" test_jobs_deterministic;
-    case "mutation caught identically at every jobs" test_mutation_caught;
-    case "violation machine: full history, same at every jobs"
-      test_violation_full_history;
+    case "mutation caught" test_mutation_caught;
+    case "violation machine: full history" test_violation_full_history;
     case "fast spec property agrees with the checker" test_fast_property_agrees;
-    case "capped search identical at every jobs" test_capped_jobs_deterministic;
+    case "capped search stops at the budget, identical on rerun"
+      test_capped_deterministic;
     case "fingerprint interning: dense stable ids" test_fp_intern_ids;
     case "symmetry detection: sound accept and decline" test_detect_symmetry;
     case "symmetry detection: raising continuations are stuck leaves"
@@ -1033,14 +969,11 @@ let suite =
       test_spin_keys_small;
     case "symmetry preserves the verdict, shrinks the search"
       test_symmetry_preserves_verdict;
-    case "mutation caught under symmetry at every jobs"
-      test_symmetry_mutation_caught;
-    case "4 waiters under symmetry: identical at every jobs"
-      test_symmetry_jobs_deterministic;
+    case "mutation caught under symmetry" test_symmetry_mutation_caught;
+    case "4 waiters under symmetry: exhaustive, identical on rerun"
+      test_symmetry_deterministic;
     case "searches started together are independent"
       test_concurrent_searches_independent;
-    case "explore setup refuses a negative split depth"
-      test_setup_refuses_negative_split_depth;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
     case "state hash: no full-hash collisions" test_state_hash_collision_free;
     prop_heap_sort_is_array_sort;

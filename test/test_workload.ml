@@ -286,18 +286,16 @@ let test_explore_allocation_bounded () =
   (* The explorer's steady state allocates a bounded constant per search
      state: the child node and its copied metadata, the moves and sleep
      sets, the memory and cost-model steps — and no dedup key beyond its
-     packed string.  Measured with a monolithic search (split depth 0)
-     after a warm-up run: 184.7 words/state for cc-flag with 4 waiters and
-     2 polls, 154.3 for dsm-broadcast with 2 waiters and 3 polls.  When
-     the table stored the live metadata array and memory they were 226.9
-     and 175.8, which both bounds reject. *)
+     packed string.  Measured after a warm-up run: 184.7 words/state for
+     cc-flag with 4 waiters and 2 polls, 154.3 for dsm-broadcast with 2
+     waiters and 3 polls.  When the table stored the live metadata array
+     and memory they were 226.9 and 175.8, which both bounds reject. *)
   let words_per_state (module A : Core.Signaling.POLLING) ~waiters ~polls =
     let s =
       { (Core.Exhaustive.setup (module A)) with
         n = waiters + 1;
         waiters;
-        polls;
-        split_depth = 0 }
+        polls }
     in
     let prepared = Core.Exhaustive.prepare s in
     ignore (Core.Exhaustive.search s prepared) (* warm-up *);
