@@ -225,6 +225,26 @@ let comparable (r : Explore.result) =
       s.Explore.fp_resizes,
       s.Explore.fp_slots ) )
 
+(* [?split_depth] is still accepted while a caller passes it, and ignored:
+   the search is one depth-first pass over one dedup table whatever the
+   depth, so every counter equals the search run without it. *)
+let test_split_depth_ignored () =
+  let layout, scripts =
+    scripts_for (module Cc_flag) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:2
+  in
+  let run ?split_depth () =
+    Explore.check ?split_depth ~layout ~model:(Cost_model.dsm layout) ~n:4
+      ~scripts ~property:spec_ok ()
+  in
+  let r = run () in
+  check_true "complete" r.Explore.complete;
+  List.iter
+    (fun d ->
+      check_true
+        (Printf.sprintf "split depth %d: identical" d)
+        (comparable (run ~split_depth:d ()) = comparable r))
+    [ 0; 2; 5 ]
+
 (* A deliberately broken algorithm: Signal() writes a decoy variable and
    never touches the flag Poll() reads, so every Poll() after a completed
    Signal() still returns false — the second clause of Specification 4.1.
@@ -882,6 +902,22 @@ let test_cc_flag_golden () =
      Results.to_json
        (Exhaustive.table setup prepared (Exhaustive.search setup prepared)))
 
+(* The scenario refuses negative counts itself, so the benchmark and the
+   golden generator, which build setups without the CLI, cannot run a
+   search the CLI would refuse. *)
+let test_setup_refuses_negative_counts () =
+  let setup = { (Exhaustive.setup (module Cc_flag)) with n = 3 } in
+  check_true "a cap and polls of 0 are accepted"
+    (Exhaustive.validate { setup with cap = 0; polls = 0 } = Ok ());
+  check_true "a cap of -1 is refused with a message"
+    (Exhaustive.validate { setup with cap = -1 }
+    = Error "--cap must be >= 0, got -1");
+  let msg = "--polls must be >= 0, got -1" in
+  check_true "polls of -1 are refused with a message"
+    (Exhaustive.validate { setup with polls = -1 } = Error msg);
+  Alcotest.check_raises "prepare refuses it too" (Invalid_argument msg)
+    (fun () -> ignore (Exhaustive.prepare { setup with polls = -1 }))
+
 (* --- independent searches --- *)
 
 (* Each search owns its dedup table: two searches started together on two
@@ -951,6 +987,8 @@ let suite =
     case "dedup+por: >=10x fewer states than naive" test_reduction_ratio;
     case "3 waiters x 2 polls enumerates exhaustively"
       test_previously_infeasible_scope;
+    case "split depth is ignored: identical counters"
+      test_split_depth_ignored;
     case "mutation caught" test_mutation_caught;
     case "violation machine: full history" test_violation_full_history;
     case "fast spec property agrees with the checker" test_fast_property_agrees;
@@ -979,4 +1017,6 @@ let suite =
     prop_heap_sort_is_array_sort;
     case "property is handed the violation machine's calls"
       test_property_sees_sim_calls;
-    case "cc-flag 4-waiter counters match the golden" test_cc_flag_golden ]
+    case "cc-flag 4-waiter counters match the golden" test_cc_flag_golden;
+    case "explore setup refuses negative counts"
+      test_setup_refuses_negative_counts ]
