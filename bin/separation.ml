@@ -155,20 +155,9 @@ let explore_cmd =
       value & opt int 1
       & info [ "signalers" ] ~docv:"S"
           ~doc:
-            "Number of signaling processes (algorithms with flexible \
-             signaler sets only).  With two or more, one-shot flag \
-             algorithms hit write/write pairs on the flag — the case the \
-             static-independence facts resolve.")
-  in
-  let static_indep =
-    Arg.(
-      value & flag
-      & info [ "static-indep" ]
-          ~doc:
-            "Consult the static-independence facts computed from the \
-             algorithm's own CFGs (const-write cells) in the sleep-set \
-             POR, instead of the generic syntactic relation alone.  \
-             Verdicts are unchanged; states visited can only shrink.")
+            "Number of signaling processes, pids 0 to $(docv)-1 \
+             (algorithms with flexible signaler sets only); the waiters' \
+             pids follow.")
   in
   let cap =
     Arg.(
@@ -204,27 +193,16 @@ let explore_cmd =
              unchanged, states visited shrink by up to the factorial of \
              the waiter count.")
   in
-  let run algorithm n waiters polls signalers static_indep cap json no_dedup
-      no_por no_symmetry =
+  let run algorithm n waiters polls signalers cap json no_dedup no_por
+      no_symmetry =
     let open Smr in
     let setup =
       { (Core.Exhaustive.setup algorithm) with
-        n; waiters; polls; signalers; static_indep; cap;
+        n; waiters; polls; signalers; cap;
         dedup = not no_dedup; por = not no_por; symmetry = not no_symmetry }
     in
     accept ~cmd:"explore" (Core.Exhaustive.validate setup);
     let prepared = Core.Exhaustive.prepare setup in
-    (match prepared.Core.Exhaustive.facts with
-    | None -> ()
-    | Some facts ->
-      Fmt.epr "static-indep: %d const-write fact(s)%s@."
-        (List.length facts.Analysis.Independence.const_writes)
-        (match
-           Analysis.Independence.fact_names
-             ~layout:prepared.Core.Exhaustive.layout facts
-         with
-        | [] -> ""
-        | names -> ": " ^ String.concat ", " names));
     let sym_k = Sim.Pid_set.cardinal prepared.Core.Exhaustive.symmetry in
     if not no_symmetry then
       if sym_k >= 2 then
@@ -272,8 +250,8 @@ let explore_cmd =
          "Exhaustively enumerate every interleaving of a small \
           configuration and check Specification 4.1.")
     Term.(
-      const run $ algo $ n_arg $ waiters $ polls $ signalers $ static_indep
-      $ cap $ json $ no_dedup $ no_por $ no_symmetry)
+      const run $ algo $ n_arg $ waiters $ polls $ signalers $ cap $ json
+      $ no_dedup $ no_por $ no_symmetry)
 
 (* Play the Section 6 construction for subcommand [cmd]: what it cannot
    play exits 2, a phase that runs out of fuel exits 1, each with a
@@ -559,9 +537,9 @@ let tables_cmd =
 
 (* `lint` statically verifies every registered algorithm's declared claims
    (primitive class, spin locality, DSM RMR bound, amortized CC RMR bound,
-   write ownership, const-write independence facts) over its extracted
-   control-flow graph, plus the Op.commute differential check behind
-   Explore's POR.  Nonzero exit on any violation, so CI can gate on it. *)
+   write ownership) over its extracted control-flow graph, plus the
+   Op.commute differential check behind Explore's POR.  Nonzero exit on
+   any violation, so CI can gate on it. *)
 let lint_cmd =
   let names =
     Arg.(
@@ -664,9 +642,9 @@ let lint_cmd =
        ~doc:
          "Statically verify each algorithm's declared claims (primitive \
           class, local-spin, DSM RMR bound, amortized CC RMR bound, write \
-          ownership, const-write independence facts) over its extracted \
-          control-flow graph, and differentially check the POR \
-          independence relation.  Exits nonzero on any violation.")
+          ownership) over its extracted control-flow graph, and \
+          differentially check the POR independence relation.  Exits \
+          nonzero on any violation.")
     Term.(const run $ lint_n $ json $ mutants $ fuel $ timing $ only $ names)
 
 (* Shared by `load` and `profile`.  A spec [Workload.Arrivals.validate]
@@ -712,7 +690,8 @@ let arrivals_conv =
 (* The flags `load` and `profile` share, defined once: a term yielding the
    scenario grid (every requested k times every requested algorithm,
    under one spec shape) and the domain count to fan it across.  A value
-   the grid cannot run exits 2 naming its flag, before anything runs. *)
+   the grid cannot run exits 2 naming its flag, and a k an algorithm does
+   not admit exits 2 naming the limit, before anything runs. *)
 let grid_term ~cmd ~verb =
   let algos =
     Arg.(
@@ -821,7 +800,10 @@ let grid_term ~cmd ~verb =
           in
           accept ~cmd (Workload.Driver.validate spec);
           List.map
-            (fun algorithm -> Core.Loadgen.scenario ~ways ~algorithm ~model spec)
+            (fun algorithm ->
+              let sc = Core.Loadgen.scenario ~ways ~algorithm ~model spec in
+              accept ~cmd (Core.Loadgen.validate sc);
+              sc)
             algos)
         ks
     in
@@ -843,7 +825,9 @@ let open_output ~cmd ~flag path =
    arrive by a seeded arrival process, poll a few times and leave (or crash),
    while pid 0 signals on a cadence.  Stdout carries only seed-determined
    figures — CI diffs it across runs and --jobs levels — while wall-clock
-   throughput goes to stderr and, when asked, to the --perf-out JSON. *)
+   throughput goes to stderr and, when asked, to the --perf-out JSON.  A
+   row that reads spec_ok no is a finding: exit 1 once everything is
+   printed. *)
 let load_cmd =
   let json =
     Arg.(
@@ -879,26 +863,30 @@ let load_cmd =
         let (module A : Core.Signaling.POLLING) = sc.Core.Loadgen.sc_algorithm in
         Fmt.epr
           "load: %s/%s k=%d: %d steps in %.2fs (%.0f states/sec, %d \
-           bytes/process)%s@."
+           bytes/process)%s%s@."
           A.name r.Workload.Driver.r_model
           sc.Core.Loadgen.sc_spec.Workload.Driver.waiters t.Core.Loadgen.steps
           t.Core.Loadgen.elapsed_s t.Core.Loadgen.states_per_sec
           t.Core.Loadgen.bytes_per_process
-          (if r.Workload.Driver.r_fuel_exhausted then " FUEL EXHAUSTED" else ""))
+          (if r.Workload.Driver.r_fuel_exhausted then " FUEL EXHAUSTED" else "")
+          (if r.Workload.Driver.r_spec_ok then "" else " SPEC 4.1 VIOLATED"))
       runs;
     Option.iter
       (fun oc ->
         output_string oc
           (Core.Loadgen.perf_json (List.map (fun (sc, _, t) -> (sc, t)) runs));
         close_out oc)
-      perf_out
+      perf_out;
+    if List.exists (fun (_, r, _) -> not r.Workload.Driver.r_spec_ok) runs then
+      exit 1
   in
   Cmd.v
     (Cmd.info "load"
        ~doc:
          "Drive an open-system heavy-traffic workload (arrivals, churn, \
           crashes) over the flat simulation engine and report streaming \
-          RMR/latency accounting; scales to k = 10^6 waiters.")
+          RMR/latency accounting; scales to k = 10^6 waiters.  Exits 1 when \
+          a run violates Specification 4.1 (spec_ok no).")
     Term.(const run $ grid_term ~cmd:"load" ~verb:"drive" $ json $ perf_out)
 
 (* `profile` is `load` with the counter planes armed: the same driver and

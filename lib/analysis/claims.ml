@@ -17,7 +17,6 @@ type call_claim = {
 
 type t = {
   single_writer : string list;
-  const_writes : string list;
   calls : (string * call_claim) list;
 }
 

@@ -54,11 +54,6 @@ type t = {
       (** base names of variables claimed to have at most one (potentially)
           writing process per cell; array cells are matched by the name
           before the ["[i]"] suffix *)
-  const_writes : string list;
-      (** base names of variables claimed to be written only by [Write]s of
-          one single value (e.g. a one-shot flag only ever set to 1) — the
-          static-independence facts {!Lint} must prove and
-          {!Independence.commute} may then exploit *)
   calls : (string * call_claim) list;  (** claim per exported call label *)
 }
 

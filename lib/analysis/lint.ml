@@ -18,9 +18,6 @@ type report = {
   entry : Registry.entry;
   calls : call_report list;
   writer_violations : string list;
-  facts : Independence.facts;
-  indep_checked : int;
-  indep_violations : string list;
   ok : bool;
 }
 
@@ -108,10 +105,6 @@ let run ?fuel ?unroll entry =
             call.pids ))
       entry.calls
   in
-  (* Static-independence facts come from every call's CFGs together: a
-     const-write fact must survive every mutation the algorithm can
-     perform on the cell, whichever call performs it. *)
-  let facts = Independence.of_cfgs (List.concat_map snd call_cfgs) in
   let calls =
     List.map
       (fun ((call : Registry.call), pid_cfgs) ->
@@ -261,44 +254,10 @@ let run ?fuel ?unroll entry =
                (String.concat "," (List.map string_of_int ws))))
       entry.claims.Claims.single_writer
   in
-  (* Declared const-write claims must be backed by a computed fact on every
-     written cell of the base; the computed facts themselves are then
-     validated differentially on the entry's own layout. *)
-  let declared_violations =
-    List.filter_map
-      (fun base ->
-        let offenders =
-          Addr_map.fold
-            (fun a ws acc ->
-              if
-                base_name entry.layout a = base
-                && ws <> []
-                && not (List.mem_assoc a facts.Independence.const_writes)
-              then a :: acc
-              else acc)
-            writers []
-        in
-        match offenders with
-        | [] -> None
-        | a :: _ ->
-          Some
-            (Printf.sprintf
-               "independence: %s declared const-write but %s is mutated \
-                with more than one value or by non-write primitives"
-               base
-               (Var.layout_name entry.layout a)))
-      entry.claims.Claims.const_writes
-  in
-  let indep_checked, fact_failures =
-    Independence.validate ~layout:entry.layout facts
-  in
-  let indep_violations = declared_violations @ fact_failures in
   let ok =
-    writer_violations = []
-    && indep_violations = []
-    && List.for_all (fun c -> c.violations = []) calls
+    writer_violations = [] && List.for_all (fun c -> c.violations = []) calls
   in
-  { entry; calls; writer_violations; facts; indep_checked; indep_violations; ok }
+  { entry; calls; writer_violations; ok }
 
 let run_all ?fuel ?unroll entries = List.map (run ?fuel ?unroll) entries
 
@@ -307,4 +266,3 @@ let all_ok reports = List.for_all (fun r -> r.ok) reports
 let violations r =
   List.concat_map (fun c -> List.map (fun v -> c.call ^ ": " ^ v) c.violations) r.calls
   @ r.writer_violations
-  @ r.indep_violations

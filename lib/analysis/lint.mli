@@ -6,7 +6,7 @@
     feeds the write-ownership audit and computes the [exclusive] oracle for
     pass two.  Pass two re-extracts with owned-cell value tracking (precise
     enough to see through "register once, then spin locally" patterns) and
-    evaluates the six checks:
+    evaluates the five checks:
 
     - {b primitive-class}: reachable kinds vs the declared classes;
     - {b local-spin}: observed busy-wait locality vs the claimed {!Claims.spin};
@@ -15,9 +15,6 @@
       {!Claims.cc_amortized} ([Abortable]/[Recoverable] flavors are held to
       their cold-cache worst path until those semantics land);
     - {b write-ownership}: per-cell writer sets vs the single-writer list;
-    - {b independence}: declared const-write facts vs the {!Independence}
-      pass, with every computed fact validated differentially on the
-      entry's own layout;
 
     plus {b incomplete} when fuel cut a branch (an unverified claim is a
     failure, not a pass). *)
@@ -42,18 +39,14 @@ type report = {
   entry : Registry.entry;
   calls : call_report list;
   writer_violations : string list;
-  facts : Independence.facts;
-      (** computed from every call's pass-two CFGs together *)
-  indep_checked : int;  (** differential scenarios run over the facts *)
-  indep_violations : string list;
   ok : bool;
 }
 
 val value_domain : n:int -> layout:Var.layout -> Op.value list
 (** The default response domain for unconstrained reads: -1 (the pid_opt
     NIL), 0..n, and every initial value of [layout].  Exposed so callers
-    extracting CFGs outside a registry entry (e.g. the explorer's
-    static-independence hook) branch over the same domain the lint does. *)
+    unfolding programs outside a registry entry (e.g. the explorer's
+    symmetry detection) branch over the same domain the lint does. *)
 
 val run : ?fuel:int -> ?unroll:int -> Registry.entry -> report
 (** [fuel]/[unroll] override the extractor defaults (an entry's own [fuel]

@@ -122,7 +122,6 @@ end
 let claims ~n:_ =
   Analysis.Claims.
     { single_writer = [ "G"; "V"; "registered" ];
-      const_writes = [];
       calls =
         [ ("signal", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Rmr 2; refills = 2 } });
           ("poll", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Unbounded; refills = 2 } }) ] }

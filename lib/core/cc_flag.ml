@@ -33,12 +33,10 @@ let poll t _p = Program.read t.flag
    statically by the cache-lattice pass: Signal pays one RMR per call under
    any CC protocol, and a poller pays nothing in steady state — it re-reads
    only when an external write invalidates its cached copy, at most once
-   per Signal ([refills = 1]).  B is a one-shot flag only ever written
-   [true], so concurrent Signals commute (the const-write fact). *)
+   per Signal ([refills = 1]). *)
 let claims ~n:_ =
   Analysis.Claims.
     { single_writer = [ "B" ];
-      const_writes = [ "B" ];
       calls =
         [ ("signal",
            { spin = No_spin;

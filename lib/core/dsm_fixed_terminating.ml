@@ -63,7 +63,6 @@ let signal t _p =
 let claims ~n =
   Analysis.Claims.
     { single_writer = [ "V"; "part" ];
-      const_writes = [];
       calls =
         [ ("signal", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Rmr (n - 1); refills = n - 1 } });
           ("poll", { spin = No_spin; dsm_rmrs = Rmr 0; cc_amortized = Amortized { steady = Rmr 1; refills = 1 } }) ] }

@@ -58,7 +58,6 @@ let poll t p = Program.read (Var.vec_get t.v p)
 let claims ~n =
   Analysis.Claims.
     { single_writer = [ "V" ];
-      const_writes = [];
       calls =
         [ ("signal", { spin = No_spin; dsm_rmrs = Rmr (n - 1); cc_amortized = Amortized { steady = Rmr (n - 1); refills = 0 } });
           ("poll", { spin = No_spin; dsm_rmrs = Rmr 0; cc_amortized = Amortized { steady = Rmr 0; refills = 1 } }) ] }

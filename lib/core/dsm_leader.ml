@@ -66,7 +66,6 @@ let wait t p =
 let claims ~n =
   Analysis.Claims.
     { single_writer = [ "registered"; "S"; "V" ];
-      const_writes = [];
       calls =
         [ ("signal", { spin = No_spin; dsm_rmrs = Rmr 3; cc_amortized = Amortized { steady = Rmr 2; refills = 1 } });
           ("wait", { spin = Local_spin; dsm_rmrs = Rmr ((2 * n) + 1); cc_amortized = Amortized { steady = Rmr ((3 * n) + 1); refills = n - 1 } }) ] }

@@ -99,7 +99,6 @@ let signal t _p =
 let claims ~n =
   Analysis.Claims.
     { single_writer = [ "G"; "V"; "registered"; "observed" ];
-      const_writes = [];
       calls =
         [ ("signal", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Unbounded; refills = n + 1 } });
           ("poll", { spin = No_spin; dsm_rmrs = Rmr 3; cc_amortized = Amortized { steady = Rmr 5; refills = 2 } }) ] }

@@ -83,7 +83,6 @@ let signal t _p =
 let claims ~n =
   Analysis.Claims.
     { single_writer = [ "reg"; "S"; "V"; "registered" ];
-      const_writes = [];
       calls =
         [ ("signal", { spin = No_spin; dsm_rmrs = Rmr n; cc_amortized = Amortized { steady = Rmr (n + 1); refills = n - 1 } });
           ("poll", { spin = No_spin; dsm_rmrs = Rmr 2; cc_amortized = Amortized { steady = Rmr 3; refills = 2 } }) ] }

@@ -63,7 +63,6 @@ let signal t _p =
 let claims ~n:_ =
   Analysis.Claims.
     { single_writer = [ "W"; "S"; "V"; "registered" ];
-      const_writes = [];
       calls =
         [ ("signal", { spin = No_spin; dsm_rmrs = Rmr 3; cc_amortized = Amortized { steady = Rmr 2; refills = 1 } });
           ("poll", { spin = No_spin; dsm_rmrs = Rmr 2; cc_amortized = Amortized { steady = Rmr 3; refills = 2 } }) ] }

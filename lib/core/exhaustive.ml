@@ -9,7 +9,6 @@ type setup = {
   waiters : int;
   polls : int;
   signalers : int;
-  static_indep : bool;
   cap : int;
   dedup : bool;
   por : bool;
@@ -22,7 +21,6 @@ let setup algorithm =
     waiters = 2;
     polls = 2;
     signalers = 1;
-    static_indep = false;
     cap = 1_000_000;
     dedup = true;
     por = true;
@@ -48,9 +46,7 @@ let validate s =
 type prepared = {
   layout : Var.layout;
   scripts : (Op.pid * Explore.script) list;
-  commute : Op.invocation -> Op.invocation -> bool;
   symmetry : Sim.Pid_set.t;
-  facts : Analysis.Independence.facts option;
 }
 
 let prepare s =
@@ -72,32 +68,6 @@ let prepare s =
               (Signaling.poll_label, inst.Signaling.i_poll w) ))
         (waiter_pids s)
   in
-  (* The facts are computed from the CFGs of the very programs the scripts
-     run, so the extended relation is sound for this search
-     ([Explore.check]'s [commute] contract).  An incomplete unfolding
-     yields no facts and the generic relation stands. *)
-  let facts =
-    if not s.static_indep then None
-    else begin
-      let values = Analysis.Lint.value_domain ~n ~layout in
-      let extract pid prog =
-        Analysis.Cfg.extract ~values ~exclusive:(fun _ -> false) ~pid prog
-      in
-      Some
-        (Analysis.Independence.of_cfgs
-           (List.map
-              (fun p -> (p, extract p (inst.Signaling.i_signal p)))
-              (signaler_pids s)
-           @ List.map
-               (fun w -> (w, extract w (inst.Signaling.i_poll w)))
-               (waiter_pids s)))
-    end
-  in
-  let commute =
-    match facts with
-    | None -> Op.commute
-    | Some f -> Analysis.Independence.commute f
-  in
   (* Detection runs on the waiters' poll calls — the scripts wrapping them
      ([Explore.repeat] with identical limit/until) branch only on own call
      counts and results, so script symmetry follows from call symmetry;
@@ -112,12 +82,12 @@ let prepare s =
            (fun w -> (w, (Signaling.poll_label, inst.Signaling.i_poll w)))
            (waiter_pids s))
   in
-  { layout; scripts; commute; symmetry; facts }
+  { layout; scripts; symmetry }
 
 let search s p =
   Explore.check ~max_histories:s.cap ~dedup:s.dedup ~por:s.por
-    ~commute:p.commute ~symmetry:p.symmetry ~layout:p.layout
-    ~model:(Cost_model.dsm p.layout) ~n:s.n ~scripts:p.scripts
+    ~symmetry:p.symmetry ~layout:p.layout ~model:(Cost_model.dsm p.layout)
+    ~n:s.n ~scripts:p.scripts
     ~property:Signaling.polling_ok ()
 
 let table s p (res : Explore.result) =
@@ -133,7 +103,6 @@ let table s p (res : Explore.result) =
         [ ("algorithm", text A.name); ("n", int s.n); ("waiters", int s.waiters);
           ("polls", int s.polls); ("signalers", int s.signalers);
           ("cap", int s.cap); ("dedup", bool s.dedup); ("por", bool s.por);
-          ("static_indep", bool s.static_indep);
           ("symmetry", int (Sim.Pid_set.cardinal p.symmetry)) ]
     ~columns:
       Results.

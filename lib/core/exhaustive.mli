@@ -11,9 +11,6 @@ type setup = {
   waiters : int;  (** waiter pids follow the signalers' *)
   polls : int;  (** maximum polls per waiter *)
   signalers : int;  (** signaler pids are [0 .. signalers-1] *)
-  static_indep : bool;
-      (** extend {!Smr.Op.commute} with the algorithm's static-independence
-          facts *)
   cap : int;  (** maximum histories *)
   dedup : bool;
   por : bool;
@@ -33,22 +30,20 @@ val validate : setup -> (unit, string) result
 type prepared = {
   layout : Smr.Var.layout;
   scripts : (Smr.Op.pid * Smr.Explore.script) list;
-  commute : Smr.Op.invocation -> Smr.Op.invocation -> bool;
-      (** {!Smr.Op.commute}, extended by [facts] *)
   symmetry : Smr.Sim.Pid_set.t;
       (** the interchangeable waiters to reduce by; empty when detection
           declined or [setup.symmetry] is off *)
-  facts : Analysis.Independence.facts option;  (** with [static_indep] *)
 }
 
 val prepare : setup -> prepared
-(** Instantiate the algorithm and build the search: scripts, independence
-    relation, detected symmetry.  Raises [Invalid_argument] on a setup
+(** Instantiate the algorithm and build the search: scripts and detected
+    symmetry.  Raises [Invalid_argument] on a setup
     {!validate} rejects. *)
 
 val search : setup -> prepared -> Smr.Explore.result
 (** Check Specification 4.1 ({!Signaling.polling_ok}) on every explored
-    interleaving, under the DSM cost model. *)
+    interleaving, under the DSM cost model, with {!Smr.Op.commute} as the
+    independence relation. *)
 
 val table : setup -> prepared -> Smr.Explore.result -> Results.table
 (** The one-row result table `separation explore --json` prints: only

@@ -154,7 +154,6 @@ let lint_table reports =
       Results.measure "claim_spin"; Results.measure "rmr_worst";
       Results.measure "claim_rmr"; Results.measure "cc_cold";
       Results.measure "cc_amortized"; Results.measure "claim_cc_amortized";
-      Results.measure "facts"; Results.measure "indep_checked";
       Results.measure "violations"; Results.measure "ok" ]
   in
   let rows =
@@ -185,49 +184,32 @@ let lint_table reports =
                 Results.text
                   (Analysis.Claims.cc_amortized_name
                      claim.Analysis.Claims.cc_amortized);
-                Results.text ""; Results.int 0;
                 Results.text (String.concat "; " c.violations);
                 Results.bool (c.violations = []) ])
             r.Analysis.Lint.calls
         in
-        let entry_row ~call ~facts ~checked vs ok =
-          [ Results.text entry.Analysis.Registry.name;
-            Results.text call;
-            Results.int entry.Analysis.Registry.n;
-            Results.int 0; Results.int 0; Results.int 0; Results.int 0;
-            Results.bool true; Results.text ""; Results.text "";
-            Results.text ""; Results.text ""; Results.text "";
-            Results.text ""; Results.text ""; Results.text "";
-            Results.text facts; Results.int checked;
-            Results.text (String.concat "; " vs); Results.bool ok ]
-        in
         let writer_rows =
           match r.Analysis.Lint.writer_violations with
           | [] -> []
-          | vs -> [ entry_row ~call:"(writers)" ~facts:"" ~checked:0 vs false ]
+          | vs ->
+            [ [ Results.text entry.Analysis.Registry.name;
+                Results.text "(writers)";
+                Results.int entry.Analysis.Registry.n;
+                Results.int 0; Results.int 0; Results.int 0; Results.int 0;
+                Results.bool true; Results.text ""; Results.text "";
+                Results.text ""; Results.text ""; Results.text "";
+                Results.text ""; Results.text ""; Results.text "";
+                Results.text (String.concat "; " vs); Results.bool false ] ]
         in
-        let fact_rows =
-          let facts =
-            String.concat ","
-              (Analysis.Independence.fact_names ~layout:entry.layout
-                 r.Analysis.Lint.facts)
-          in
-          let vs = r.Analysis.Lint.indep_violations in
-          if facts = "" && vs = [] then []
-          else
-            [ entry_row ~call:"(facts)" ~facts
-                ~checked:r.Analysis.Lint.indep_checked vs (vs = []) ]
-        in
-        call_rows @ writer_rows @ fact_rows)
+        call_rows @ writer_rows)
       reports
   in
   Results.make ~experiment:"lint" ~part:"claims"
     ~title:"Static lint: paper-claimed properties vs the extracted CFGs"
     ~claim:
       "every shipped algorithm's declared primitive class, spin locality, \
-       DSM RMR bound, amortized CC RMR bound, write ownership and \
-       static-independence facts hold over its response-branching \
-       control-flow graph"
+       DSM RMR bound, amortized CC RMR bound and write ownership hold over \
+       its response-branching control-flow graph"
     ~columns rows
 
 let commute_table (r : Analysis.Commute_check.result) =

@@ -6,8 +6,6 @@ let cas_flag_name = "mutant-cas-flag"
 
 let amortized_scan_name = "mutant-amortized-scan"
 
-let indep_fact_name = "mutant-indep-fact"
-
 (* dsm-fixed's broadcast shape, but the flags land in the shared module:
    the Wait() spin is remote, contradicting the local-spin claim below. *)
 module Remote_spin_wait = struct
@@ -29,7 +27,6 @@ module Remote_spin_wait = struct
   let claims ~n =
     Analysis.Claims.
       { single_writer = [ "V" ];
-        const_writes = [];
         calls =
           [ ("signal", { spin = No_spin; dsm_rmrs = Rmr n; cc_amortized = Amortized { steady = Unbounded; refills = 64 } });
             ("wait", { spin = Local_spin (* the lie *); dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Unbounded; refills = 64 } }) ] }
@@ -54,7 +51,6 @@ module Cas_flag = struct
   let claims ~n:_ =
     Analysis.Claims.
       { single_writer = [ "B" ];
-        const_writes = [];
         calls =
           [ ("signal", { spin = No_spin; dsm_rmrs = Rmr 1; cc_amortized = Amortized { steady = Unbounded; refills = 64 } });
             ("poll", { spin = No_spin; dsm_rmrs = Rmr 1; cc_amortized = Amortized { steady = Unbounded; refills = 64 } }) ] }
@@ -92,7 +88,6 @@ module Amortized_scan = struct
   let claims ~n:_ =
     Analysis.Claims.
       { single_writer = [ "B" ];
-        const_writes = [];
         calls =
           [ ("signal",
              { spin = No_spin;
@@ -103,35 +98,6 @@ module Amortized_scan = struct
              { spin = No_spin;
                dsm_rmrs = Unbounded;
                cc_amortized = Amortized { steady = Rmr 1; refills = 1 } }) ] }
-end
-
-(* cc-flag, except the flag is also cleared: Signal() toggles C to 0 after
-   setting it to 1, so C is written with two distinct values — the
-   declared const-write fact below is false and the independence check
-   must reject it. *)
-module Indep_fact = struct
-  type t = { c : int Var.t }
-
-  let create ctx = { c = Var.Ctx.int ctx ~name:"C" ~home:Var.Shared 0 }
-
-  let signal t _p =
-    Program.bind (Program.write t.c 1) (fun () -> Program.write t.c 0)
-
-  let poll t _p = Program.map (fun v -> v <> 0) (Program.read t.c)
-
-  let claims ~n:_ =
-    Analysis.Claims.
-      { single_writer = [ "C" ];
-        const_writes = [ "C" (* the lie: C is written with 1 and 0 *) ];
-        calls =
-          [ ("signal",
-             { spin = No_spin;
-               dsm_rmrs = Rmr 2;
-               cc_amortized = Amortized { steady = Rmr 2; refills = 0 } });
-            ("poll",
-             { spin = No_spin;
-               dsm_rmrs = Rmr 1;
-               cc_amortized = Amortized { steady = Rmr 0; refills = 1 } }) ] }
 end
 
 let unit_call label pids program =
@@ -164,33 +130,18 @@ let register ~n =
                 Smr.Program.map
                   (fun b -> if b then 1 else 0)
                   (Cas_flag.poll t p)) } ]));
-  (let ctx = Var.Ctx.create () in
-   let t = Amortized_scan.create ctx ~n in
-   let layout = Var.Ctx.freeze ctx in
-   Analysis.Registry.register
-     (Analysis.Registry.entry ~mutant:true ~name:amortized_scan_name ~n ~layout
-        ~primitives:[ Op.Reads_writes ]
-        ~claims:(Amortized_scan.claims ~n)
-        [ unit_call "signal" signalers (Amortized_scan.signal t);
-          { Analysis.Registry.label = "poll";
-            pids = waiters;
-            program =
-              (fun p ->
-                Smr.Program.map
-                  (fun b -> if b then 1 else 0)
-                  (Amortized_scan.poll t p)) } ]));
   let ctx = Var.Ctx.create () in
-  let t = Indep_fact.create ctx in
+  let t = Amortized_scan.create ctx ~n in
   let layout = Var.Ctx.freeze ctx in
   Analysis.Registry.register
-    (Analysis.Registry.entry ~mutant:true ~name:indep_fact_name ~n ~layout
+    (Analysis.Registry.entry ~mutant:true ~name:amortized_scan_name ~n ~layout
        ~primitives:[ Op.Reads_writes ]
-       ~claims:(Indep_fact.claims ~n)
-       [ unit_call "signal" signalers (Indep_fact.signal t);
+       ~claims:(Amortized_scan.claims ~n)
+       [ unit_call "signal" signalers (Amortized_scan.signal t);
          { Analysis.Registry.label = "poll";
            pids = waiters;
            program =
              (fun p ->
                Smr.Program.map
                  (fun b -> if b then 1 else 0)
-                 (Indep_fact.poll t p)) } ])
+                 (Amortized_scan.poll t p)) } ])

@@ -1,11 +1,11 @@
 (** Seeded lint-violation fixtures.
 
-    Four deliberately broken variants of shipped algorithms, registered
+    Three deliberately broken variants of shipped algorithms, registered
     with [mutant = true] so the default lint run skips them; including them
-    (tests, CI's expected-failure step) must produce exactly their four
+    (tests, CI's expected-failure step) must produce exactly their three
     violations — a remote busy-wait behind a local-spin claim, a CAS behind
-    a reads/writes-only declaration, a hidden remote scan behind an O(1)
-    amortized claim, and a false const-write independence fact. *)
+    a reads/writes-only declaration, and a hidden remote scan behind an O(1)
+    amortized claim. *)
 
 val remote_spin_name : string
 (** A dsm-fixed-style broadcast whose per-waiter flags were "accidentally"
@@ -22,10 +22,5 @@ val amortized_scan_name : string
     heartbeat cell — cells the waiters re-dirty on every poll — while
     still claiming the 1-RMR-per-Signal, zero-refill headline.  Expected
     violation: [amortized] on [signal]. *)
-
-val indep_fact_name : string
-(** A flag algorithm that writes its cell with two distinct values while
-    declaring it a const-write independence fact.  Expected violation:
-    [independence] at the entry level. *)
 
 val register : n:int -> unit

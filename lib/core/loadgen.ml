@@ -33,14 +33,27 @@ let flat_model ~ways tag : Flat_sim.model_spec =
   | Some (protocol, interconnect) ->
     Flat_sim.Cc { protocol; interconnect; ways }
 
+(* The roles the driver plays: pid 0 signals, pids 1..k join as waiters.
+   Not narrowed to what the algorithm supports, as [Algorithms.config_for]
+   narrows a single-waiter algorithm to pid 1: the driver runs every
+   waiter, so the algorithm must accept them all. *)
+let config sc =
+  let k = sc.sc_spec.Workload.Driver.waiters in
+  Signaling.config ~n:(k + 1)
+    ~waiters:(List.init k (fun i -> i + 1))
+    ~signalers:[ 0 ]
+
+let validate sc =
+  let (module A : Signaling.POLLING) = sc.sc_algorithm in
+  Signaling.validate_config A.flexibility (config sc)
+
 (* Instantiate the scenario's algorithm and freeze its memory layout —
    everything a driver run needs besides the optional observability hooks.
    Split out of {!run} so the profiler can arm counter planes (sized from
    the returned layout) on the same instantiation path. *)
 let prepare sc =
   let (module A : Signaling.POLLING) = sc.sc_algorithm in
-  let n = sc.sc_spec.Workload.Driver.waiters + 1 in
-  let cfg = Algorithms.config_for (module A) ~n in
+  let cfg = config sc in
   let ctx = Var.Ctx.create () in
   let inst = Signaling.instantiate (module A) ctx cfg in
   let layout = Var.Ctx.freeze ctx in
@@ -49,7 +62,7 @@ let prepare sc =
       w_poll = inst.Signaling.i_poll;
       w_signal = inst.Signaling.i_signal }
   in
-  (winst, layout, n)
+  (winst, layout, cfg.Signaling.n)
 
 let run ?counters ?on_cache sc =
   let winst, layout, n = prepare sc in

@@ -20,13 +20,26 @@ val scenario :
 
 val flat_model : ways:int -> Scenario.model_tag -> Smr.Flat_sim.model_spec
 
+val config : scenario -> Signaling.config
+(** The roles the driver plays: pid 0 signals and pids [1..k] poll, for
+    the spec's [k] waiters, on [k + 1] processes.  Equal to
+    {!Algorithms.config_for} at [n = k + 1] for every catalog algorithm
+    but the single-waiter one, which that narrows to pid 1. *)
+
+val validate : scenario -> (unit, string) result
+(** Refuses, with {!Signaling.validate_config}'s message, a {!config} the
+    algorithm's flexibility does not admit (more waiters than a
+    single-waiter algorithm supports). *)
+
 val prepare :
   scenario -> Workload.Driver.instance * Smr.Var.layout * int
-(** Instantiate the scenario's algorithm: the driver instance, the frozen
-    memory layout, and the machine size ([waiters + 1]).  Deterministic;
-    {!run} is [prepare] plus {!Workload.Driver.run}.  Exposed so callers
-    that arm observability hooks (the profiler sizes counter planes from
-    the layout) share the exact instantiation path. *)
+(** Instantiate the scenario's algorithm on {!config}: the driver
+    instance, the frozen memory layout, and the machine size
+    ([waiters + 1]).  Deterministic; {!run} is [prepare] plus
+    {!Workload.Driver.run}.  Exposed so callers that arm observability
+    hooks (the profiler sizes counter planes from the layout) share the
+    exact instantiation path.  Raises [Invalid_argument] on a scenario
+    {!validate} refuses. *)
 
 val run :
   ?counters:Obs.Counters.t ->

@@ -56,7 +56,6 @@ end
 let claims ~inner ~n =
   Analysis.Claims.
     { single_writer = inner.Analysis.Claims.single_writer;
-      const_writes = inner.Analysis.Claims.const_writes;
       calls =
         [ ("signal", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Unbounded; refills = n + 1 } });
           ("poll", Analysis.Claims.call inner "poll") ] }

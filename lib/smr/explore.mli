@@ -156,9 +156,8 @@ val check :
     be {e sound for the scripts being explored}: whenever it declares two
     invocations independent, executing them in either order from any
     reachable state must produce the same memory fingerprint and the same
-    responses (the {!Commute_check} standard).  {!Analysis.Independence}
-    computes such relations statically from the algorithm's CFGs; an
-    unsound relation silently prunes real interleavings.
+    responses (the {!Commute_check} standard); an unsound relation
+    silently prunes real interleavings.
 
     [split_depth] is ignored: the search is always one depth-first pass
     over one dedup table.  It is accepted only so that callers still

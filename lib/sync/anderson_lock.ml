@@ -55,7 +55,6 @@ let release t p =
 let claims ~n:_ =
   Analysis.Claims.
     { single_writer = [ "anderson.my_slot" ];
-      const_writes = [];
       calls =
         [ ("acquire", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Rmr 3; refills = 3 } });
           ("release", { spin = No_spin; dsm_rmrs = Rmr 2; cc_amortized = Amortized { steady = Rmr 2; refills = 0 } }) ] }

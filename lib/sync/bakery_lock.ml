@@ -79,7 +79,6 @@ let release t p = Program.write t.number.(p) 0
 let claims ~n =
   Analysis.Claims.
     { single_writer = [ "bakery.choosing"; "bakery.number" ];
-      const_writes = [];
       calls =
         [ ("acquire", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Rmr n; refills = 2 * (n - 1) } });
           ("release", { spin = No_spin; dsm_rmrs = Rmr 0; cc_amortized = Amortized { steady = Rmr 1; refills = 0 } }) ] }

@@ -57,7 +57,6 @@ let release t p =
 let claims ~n:_ =
   Analysis.Claims.
     { single_writer = [ "clh.my_node"; "clh.my_pred" ];
-      const_writes = [];
       calls =
         [ ("acquire", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Rmr 4; refills = 4 } });
           ("release", { spin = No_spin; dsm_rmrs = Rmr 1; cc_amortized = Amortized { steady = Rmr 2; refills = 0 } }) ] }

@@ -81,7 +81,6 @@ let with_delay delay : (module Mutex_intf.LOCK) =
 let claims ~n:_ =
   Analysis.Claims.
     { single_writer = [ "fischer.pause" ];
-      const_writes = [];
       calls =
         [ ("acquire", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Rmr 1; refills = 1 } });
           ("release", { spin = No_spin; dsm_rmrs = Rmr 1; cc_amortized = Amortized { steady = Rmr 1; refills = 0 } }) ] }

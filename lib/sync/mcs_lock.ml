@@ -74,7 +74,6 @@ let release t p =
 let claims ~n:_ =
   Analysis.Claims.
     { single_writer = [];
-      const_writes = [];
       calls =
         [ ("acquire", { spin = Local_spin; dsm_rmrs = Rmr 2; cc_amortized = Amortized { steady = Rmr 4; refills = 1 } });
           ("release", { spin = Local_spin; dsm_rmrs = Rmr 2; cc_amortized = Amortized { steady = Rmr 1; refills = 1 } }) ] }

@@ -33,7 +33,6 @@ let release t _p = Program.write t.flag false
 let claims ~n:_ =
   Analysis.Claims.
     { single_writer = [];
-      const_writes = [];
       calls =
         [ ("acquire", { spin = Remote_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Unbounded; refills = 1 } });
           ("release", { spin = No_spin; dsm_rmrs = Rmr 1; cc_amortized = Amortized { steady = Rmr 1; refills = 0 } }) ] }

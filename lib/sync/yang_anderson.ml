@@ -115,7 +115,6 @@ let claims ~n =
   let levels = max 1 (levels_for n) in
   Analysis.Claims.
     { single_writer = (if n <= 2 then [ "ya.c" ] else []);
-      const_writes = [];
       calls =
         [ ("acquire", { spin = Local_spin; dsm_rmrs = Rmr (7 * levels); cc_amortized = Amortized { steady = Rmr (5 * levels); refills = 4 * levels } });
           ("release", { spin = No_spin; dsm_rmrs = Rmr (3 * levels); cc_amortized = Amortized { steady = Rmr (2 * levels); refills = levels } }) ] }

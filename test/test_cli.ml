@@ -47,6 +47,7 @@ let cases =
     ("-a cc-flag -n 3 --mem-budget 64", 124, "unknown option '--mem-budget'");
     ("-a cc-flag -n 3 --split-depth 0", 124, "unknown option '--split-depth'");
     ("-a cc-flag -n 3 --jobs 2", 124, "unknown option '--jobs'");
+    ("-a cc-flag -n 3 --static-indep", 124, "unknown option '--static-indep'");
     ("-a nope", 124, "unknown algorithm \"nope\"");
     ("-a cc-flag -k=-1", 124, "invalid value");
     (* Accepted now: symmetry detection used to raise on dsm-queue's
@@ -140,8 +141,10 @@ let run_cases =
 (* `load` and `profile` share one flag term, so both refuse the same
    values under their own names.  Each of these once died with an
    internal error (exit 125), ran silently on a meaningless value, or
-   failed on its output file after printing stdout.  What the arrival
-   converter refuses is a cmdliner parse error (exit 124). *)
+   failed on its output file after printing stdout; a single-waiter
+   algorithm at k = 2 once ran with one waiter instantiated and read
+   spec_ok no.  What the arrival converter refuses is a cmdliner parse
+   error (exit 124). *)
 let load_cases =
   [ ("load", "--polls 0", 2, Err, "separation: load: --polls must be >= 1, got 0");
     ("load", "--signals=-3", 2, Err,
@@ -166,8 +169,11 @@ let load_cases =
      "bad arrival spec \"bursty:0,1\": burst must be");
     ("load", "-k 10 --perf-out missing-dir/perf.json", 2, Err,
      "separation: load: --perf-out: missing-dir/perf.json");
+    ("load", "-a dsm-single -k 2", 2, Err,
+     "separation: load: algorithm supports at most 1 waiter(s), 2 configured");
     (* Accepted now: the single-waiter algorithm has no waiter at k = 0. *)
-    ("load", "-a dsm-single -k 0", 0, Err, "load: dsm-single/dsm k=0") ]
+    ("load", "-a dsm-single -k 0", 0, Err, "load: dsm-single/dsm k=0");
+    ("load", "-a dsm-single -k 1", 0, Err, "load: dsm-single/dsm k=1") ]
 
 let profile_cases =
   [ ("profile", "--top=-1", 2, Err,
@@ -181,7 +187,19 @@ let profile_cases =
     ("profile", "--arrivals bursty:0,1", 124, Err,
      "bad arrival spec \"bursty:0,1\": burst must be");
     ("profile", "-k 10 --chrome-out missing-dir/trace.json", 2, Err,
-     "separation: profile: --chrome-out: missing-dir/trace.json") ]
+     "separation: profile: --chrome-out: missing-dir/trace.json");
+    ("profile", "-a dsm-single -k 2", 2, Err,
+     "separation: profile: algorithm supports at most 1 waiter(s), 2 configured");
+    ("profile", "-a dsm-single -k 1", 0, Out, "hot cells") ]
+
+(* A run that reads spec_ok no is a finding, not a refused input: `load`
+   prints its whole table, flags the run on stderr and exits 1.  The
+   first case is cas-register's recorded Specification 4.1 race
+   (polls_true 200 of 400); once that race is fixed it needs another
+   failing input. *)
+let load_finding_cases =
+  [ ("-a cas-register -m dsm -k 200 --polls 2 --seed 1", 1);
+    ("-a cas-register -m dsm -k 200 --polls 1 --seed 1", 0) ]
 
 (* A signaling entry needs a signaler and a waiter; below that the lint
    once exited with only "List.init" or "index out of bounds". *)
@@ -227,6 +245,19 @@ let test_profile_inputs () = check_cases profile_cases
 let test_lint_inputs () = check_cases lint_cases
 let test_tables_inputs () = check_cases tables_cases
 
+let test_load_findings () =
+  List.iter
+    (fun (args, code) ->
+      let got, out, err = run "load" args in
+      let args = "load " ^ args in
+      check_int (args ^ ": exit code") code got;
+      check_true (args ^ ": table on stdout") (contains out "spec_ok");
+      check_true
+        (args ^ ": stderr flags a violation exactly when it exits 1")
+        (contains err "SPEC 4.1 VIOLATED" = (code = 1));
+      check_false (args ^ ": no internal error") (contains err "internal error"))
+    load_finding_cases
+
 let suite =
   [ case "explore: invalid inputs exit with a message" test_explore_inputs;
     case "adversary and trace --adversary: invalid inputs exit with a message"
@@ -234,6 +265,7 @@ let suite =
     case "fuzz: invalid inputs exit with a message" test_fuzz_inputs;
     case "run: invalid inputs exit with a message" test_run_inputs;
     case "load: invalid inputs exit with a message" test_load_inputs;
+    case "load: a spec_ok no row exits 1 after the table" test_load_findings;
     case "profile: invalid inputs exit with a message" test_profile_inputs;
     case "lint: invalid inputs exit with a message" test_lint_inputs;
     case "tables: unknown ids and commands exit with a message"

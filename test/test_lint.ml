@@ -1,8 +1,7 @@
-(* Tests for the static analyzer: CFG extraction, the six claim checks
-   (primitive class, spin, DSM RMRs, amortized CC RMRs, write ownership,
-   independence), the cache-lattice laws, the shipped-catalog run, the
-   seeded mutants, the explorer's static-independence hook, and the
-   Op.commute differential check. *)
+(* Tests for the static analyzer: CFG extraction, the five claim checks
+   (primitive class, spin, DSM RMRs, amortized CC RMRs, write ownership),
+   the cache-lattice laws, the shipped-catalog run, the seeded mutants,
+   and the Op.commute differential check. *)
 
 open Smr
 open Test_util
@@ -121,7 +120,6 @@ let test_lint_catches_false_rmr_claim () =
   let claims =
     Analysis.Claims.
       { single_writer = [];
-        const_writes = [];
         calls = [ ("touch", { spin = No_spin; dsm_rmrs = Rmr 0; cc_amortized = Amortized { steady = Unbounded; refills = 64 } }) ] }
   in
   let e =
@@ -140,7 +138,6 @@ let test_lint_catches_false_spin_claim () =
   let claims =
     Analysis.Claims.
       { single_writer = [];
-        const_writes = [];
         calls = [ ("wait", { spin = Local_spin; dsm_rmrs = Unbounded; cc_amortized = Amortized { steady = Unbounded; refills = 64 } }) ] }
   in
   let e =
@@ -162,7 +159,6 @@ let test_lint_catches_false_ownership_claim () =
   let claims =
     Analysis.Claims.
       { single_writer = [ "S" ];
-        const_writes = [];
         calls = [ ("touch", { spin = No_spin; dsm_rmrs = Rmr 1; cc_amortized = Amortized { steady = Unbounded; refills = 64 } }) ] }
   in
   let e =
@@ -201,7 +197,7 @@ let test_catalog_mutants_fail_exactly () =
         else Some (r.Analysis.Lint.entry.name, Analysis.Lint.violations r))
       reports
   in
-  check_int "exactly the four seeded mutants fail" 4 (List.length failing);
+  check_int "exactly the three seeded mutants fail" 3 (List.length failing);
   let violations_of name =
     match List.assoc_opt name failing with
     | Some vs -> String.concat "; " vs
@@ -214,11 +210,7 @@ let test_catalog_mutants_fail_exactly () =
   check_true "hidden-scan mutant flagged by the amortized check"
     (contains
        (violations_of Core.Lint_mutants.amortized_scan_name)
-       "amortized");
-  check_true "false const-write mutant flagged by the independence check"
-    (contains
-       (violations_of Core.Lint_mutants.indep_fact_name)
-       "independence")
+       "amortized")
 
 (* --- the amortized cache lattice --- *)
 
@@ -326,7 +318,6 @@ let test_lint_catches_false_amortized_claim () =
   let claims =
     Analysis.Claims.
       { single_writer = [];
-        const_writes = [];
         calls =
           [ ("touch",
              { spin = No_spin;
@@ -352,87 +343,6 @@ let test_lint_catches_false_amortized_claim () =
     (List.exists
        (fun v -> contains v "amortized")
        (Analysis.Lint.violations r))
-
-(* --- static independence facts --- *)
-
-let test_independence_facts_sound () =
-  let report = catalog_reports [ "cc-flag"; "dsm-broadcast" ] in
-  List.iter
-    (fun name ->
-      let r = report name in
-      let facts = r.Analysis.Lint.facts in
-      check_true
-        (name ^ " has const-write facts")
-        (facts.Analysis.Independence.const_writes <> []);
-      check_true
-        (name ^ " facts validated over real memory")
-        (r.Analysis.Lint.indep_checked > 0);
-      check_int (name ^ " no refutations") 0
-        (List.length r.Analysis.Lint.indep_violations);
-      List.iter
-        (fun (a, v) ->
-          let w = Op.Write (a, v) in
-          check_true "const-write pair commutes under the facts"
-            (Analysis.Independence.commute facts w w);
-          check_false "Op.commute alone refuses same-cell writes"
-            (Op.commute w w);
-          (* conservativity: the extension only ever adds pairs *)
-          check_true "extension preserves Op.commute"
-            (Analysis.Independence.commute facts (Op.Read a) (Op.Read a)))
-        facts.Analysis.Independence.const_writes)
-    [ "cc-flag"; "dsm-broadcast" ]
-
-let test_explore_static_facts_prune () =
-  (* Two signalers racing Write(B, true): Op.commute calls that a
-     conflict, the const-write fact proves it independent.  The extended
-     relation must prune states without touching the verdict. *)
-  let n = 4 and polls = 2 in
-  let ctx = Var.Ctx.create () in
-  let cfg = Core.Signaling.config ~n ~waiters:[ 2; 3 ] ~signalers:[ 0; 1 ] in
-  let inst = Core.Signaling.instantiate (module Core.Cc_flag) ctx cfg in
-  let layout = Var.Ctx.freeze ctx in
-  let scripts =
-    List.map
-      (fun s ->
-        ( s,
-          Explore.of_list
-            [ (Core.Signaling.signal_label, inst.Core.Signaling.i_signal s) ]
-        ))
-      cfg.Core.Signaling.signalers
-    @ List.map
-        (fun w ->
-          ( w,
-            Explore.repeat ~limit:polls
-              ~until:(fun r -> r = 1)
-              (Core.Signaling.poll_label, inst.Core.Signaling.i_poll w) ))
-        cfg.Core.Signaling.waiters
-  in
-  let values = Analysis.Lint.value_domain ~n ~layout in
-  let cfg_of pid prog =
-    (pid, Analysis.Cfg.extract ~values ~exclusive:(fun _ -> false) ~pid prog)
-  in
-  let facts =
-    Analysis.Independence.of_cfgs
-      (List.map (fun s -> cfg_of s (inst.Core.Signaling.i_signal s))
-         cfg.Core.Signaling.signalers
-      @ List.map (fun w -> cfg_of w (inst.Core.Signaling.i_poll w))
-          cfg.Core.Signaling.waiters)
-  in
-  check_true "cc-flag const-write fact computed"
-    (facts.Analysis.Independence.const_writes <> []);
-  let run ?commute () =
-    Explore.check ?commute ~layout ~model:(Cost_model.dsm layout) ~n ~scripts
-      ~property:Core.Signaling.polling_ok ()
-  in
-  let plain = run () in
-  let extended = run ~commute:(Analysis.Independence.commute facts) () in
-  check_true "both complete" (plain.Explore.complete && extended.Explore.complete);
-  check_true "verdict unchanged"
-    ((plain.Explore.violation = None) = (extended.Explore.violation = None));
-  check_true "no violation on cc-flag" (extended.Explore.violation = None);
-  check_true "static facts prune states"
-    (extended.Explore.stats.Explore.states
-    < plain.Explore.stats.Explore.states)
 
 (* --- the Op.commute differential check --- *)
 
@@ -481,9 +391,5 @@ let suite =
       test_amortized_proofs;
     case "lint: false amortized claim fails"
       test_lint_catches_false_amortized_claim;
-    case "independence: facts computed, validated, conservative"
-      test_independence_facts_sound;
-    case "explore: static facts prune, verdict intact"
-      test_explore_static_facts_prune;
     case "commute: exhaustive and sound" test_commute_exhaustive_and_sound;
     case "lint golden JSON" test_lint_golden_json ]

@@ -120,6 +120,38 @@ let test_driver_deterministic () =
         (Core.Results.to_json t2))
     [ ("cc-flag", `Cc_wt); ("dsm-broadcast", `Dsm) ]
 
+let test_loadgen_roles () =
+  (* The driver plays signaler 0 and waiters 1..k.  Every catalog
+     algorithm but the single-waiter one gets exactly
+     [Algorithms.config_for]'s roles, so E14, E15 and the load benchmarks
+     instantiate the layouts they always did; the single-waiter one is
+     refused above one waiter rather than narrowed to pid 1 while the
+     driver polls from all k. *)
+  List.iter
+    (fun ((module A : Core.Signaling.POLLING) as m) ->
+      List.iter
+        (fun k ->
+          let sc = scenario ~algorithm:A.name ~k () in
+          let what = Printf.sprintf "%s at k = %d" A.name k in
+          if A.flexibility.Core.Signaling.max_waiters = Some 1 && k > 1 then
+            Alcotest.(check (result unit string))
+              (what ^ ": refused")
+              (Error
+                 (Printf.sprintf
+                    "algorithm supports at most 1 waiter(s), %d configured" k))
+              (Core.Loadgen.validate sc)
+          else begin
+            Alcotest.(check (result unit string))
+              (what ^ ": admitted") (Ok ()) (Core.Loadgen.validate sc);
+            Alcotest.(check bool)
+              (what ^ ": config_for's roles")
+              true
+              (Core.Loadgen.config sc
+              = Core.Algorithms.config_for m ~n:(k + 1))
+          end)
+        [ 0; 1; 2; 7 ])
+    Core.Algorithms.polling_algorithms
+
 let test_driver_seed_sensitivity () =
   let r1 = Core.Loadgen.run (scenario ~seed:1 ~crash_prob:0.1 ())
   and r2 = Core.Loadgen.run (scenario ~seed:2 ~crash_prob:0.1 ()) in
@@ -356,6 +388,8 @@ let suite =
     case "stats: add_int allocates nothing" test_stats_add_int_no_alloc;
     case "arrivals: gap laws" test_arrivals_gaps;
     case "driver: same seed, same bytes" test_driver_deterministic;
+    case "loadgen: the driver's roles, refused where not admitted"
+      test_loadgen_roles;
     case "driver: different seed, different run" test_driver_seed_sensitivity;
     case "driver: accounting invariants under churn"
       test_driver_accounting_invariants;
