@@ -9,8 +9,8 @@
    address for memory, dense int arrays indexed by pid for call state, so
    one step is O(1) work and the engine's own billing allocates nothing.
    A step still costs minor words — the program's Step node, continuation
-   and bind closures, and [Op.execute]'s result record: 30.0 words/step on
-   bench/suite's load-cc and 38.7 on load-dsm, constant in n and k.
+   and bind closures, and [Op.execute]'s result record: 24.0 words/step on
+   bench/suite's load-cc and 37.5 on load-dsm, constant in n and k.
 
    Equivalence contract (enforced by the differential suite in
    test/test_flat.ml): given the same layout, schedule and model, this

@@ -6,8 +6,8 @@
     process, so one step is O(1) work and the machine instantiates at
     n = 10^6 processes.  The engine's billing allocates nothing; a step
     still allocates what interpreting its program costs, plus the result
-    record of {!Op.execute} — 30.0 minor words per step on bench/suite's
-    load-cc workload and 38.7 on load-dsm, constant in n and k.  No
+    record of {!Op.execute} — 24.0 minor words per step on bench/suite's
+    load-cc workload and 37.5 on load-dsm, constant in n and k.  No
     history, no replay: {!Sim} remains the oracle for the adversary, the
     explorer and the differential tests.  CC billing applies
     {!Cc.decide}, the same protocol table {!Cc.model} applies. *)

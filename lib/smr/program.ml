@@ -45,7 +45,14 @@ let step inv = Step (inv, ret_value)
 (* Typed operations over Var handles: each is one [Step], with a static
    continuation or the single closure that decodes through the handle. *)
 
-let read var = Step (Op.Read (Var.addr var), fun v -> Return (Var.decode var v))
+(* A flag's read takes the static continuation: a poll is often a single
+   flag read, and when a sweep over many waiters holds each poll across a
+   minor collection, every closure it carries is promoted. *)
+let read (type a) (var : a Var.t) : a t =
+  let inv = Op.Read (Var.addr var) in
+  match Var.decoding var with
+  | Var.Flag -> Step (inv, ret_nonzero)
+  | Var.Decoder -> Step (inv, fun v -> Return (Var.decode var v))
 
 let write var x = Step (Op.Write (Var.addr var, Var.encode var x), ret_unit)
 

@@ -34,6 +34,11 @@ type segment = { s_base : Op.addr; s_len : int; s_name : string; s_indexed : boo
 let segment_name s i =
   if s.s_indexed then Printf.sprintf "%s[%d]" s.s_name i else s.s_name
 
+(* How much a reader may know of a range's decoding without calling it: a
+   flag ({!Ctx.bool}, {!Ctx.bool_vec}) decodes [v <> 0], so a read of one
+   can answer with a shared constant instead of building a closure. *)
+type 'a decoding = Flag : bool decoding | Decoder : 'a decoding
+
 (* A contiguous range of cells sharing one segment and encoding.  Unlike
    ['a t array] (which materializes one record per element), a vec is O(1)
    space regardless of length: element handles are minted on demand by
@@ -45,6 +50,7 @@ type 'a vec = {
   v_home : int -> home;
   v_encode : 'a -> Op.value;
   v_decode : Op.value -> 'a;
+  v_decoding : 'a decoding;
 }
 
 (* A handle is its address plus the range it was minted from: name, home
@@ -58,6 +64,7 @@ let name { addr; vec } = segment_name vec.v_seg (addr - vec.v_seg.s_base)
 let home { addr; vec } = vec.v_home (addr - vec.v_seg.s_base)
 let encode v x = v.vec.v_encode x
 let decode v x = v.vec.v_decode x
+let decoding v = v.vec.v_decoding
 
 let vec_len v = v.v_seg.s_len
 
@@ -145,7 +152,7 @@ module Ctx = struct
     ctx.segs_rev <- s :: ctx.segs_rev;
     ctx.nsegs <- ctx.nsegs + 1
 
-  let alloc ctx ~name ~home ~encode ~decode init =
+  let alloc_as decoding ctx ~name ~home ~encode ~decode init =
     let addr = ctx.next in
     reserve ctx 1;
     ctx.next <- addr + 1;
@@ -156,15 +163,19 @@ module Ctx = struct
     { addr;
       vec =
         { v_seg = seg; v_home = (fun _ -> home); v_encode = encode;
-          v_decode = decode } }
+          v_decode = decode; v_decoding = decoding } }
+
+  let alloc ctx ~name ~home ~encode ~decode init =
+    alloc_as Decoder ctx ~name ~home ~encode ~decode init
 
   let int ctx ~name ~home init =
     alloc ctx ~name ~home ~encode:Fun.id ~decode:Fun.id init
 
+  let encode_flag b = if b then 1 else 0
+  let decode_flag v = v <> 0
+
   let bool ctx ~name ~home init =
-    let encode b = if b then 1 else 0 in
-    let decode v = v <> 0 in
-    alloc ctx ~name ~home ~encode ~decode init
+    alloc_as Flag ctx ~name ~home ~encode:encode_flag ~decode:decode_flag init
 
   (* Process IDs with a distinguished NIL, as in the single-waiter algorithm
      of Sec. 7 ("W (process ID, initially NIL)").  NIL is encoded as -1. *)
@@ -175,7 +186,7 @@ module Ctx = struct
 
   (* Range allocation: one segment, one home/init fill loop, zero
      per-element records. *)
-  let alloc_vec ctx ~name ~home ~encode ~decode n init =
+  let alloc_vec_as decoding ctx ~name ~home ~encode ~decode n init =
     if n < 0 then invalid_arg "Var.Ctx.alloc_vec: negative length";
     let base = ctx.next in
     reserve ctx n;
@@ -186,15 +197,18 @@ module Ctx = struct
     done;
     let seg = { s_base = base; s_len = n; s_name = name; s_indexed = true } in
     push_seg ctx seg;
-    { v_seg = seg; v_home = home; v_encode = encode; v_decode = decode }
+    { v_seg = seg; v_home = home; v_encode = encode; v_decode = decode;
+      v_decoding = decoding }
+
+  let alloc_vec ctx ~name ~home ~encode ~decode n init =
+    alloc_vec_as Decoder ctx ~name ~home ~encode ~decode n init
 
   let int_vec ctx ~name ~home n init =
     alloc_vec ctx ~name ~home ~encode:Fun.id ~decode:Fun.id n init
 
   let bool_vec ctx ~name ~home n init =
-    let encode b = if b then 1 else 0 in
-    let decode v = v <> 0 in
-    alloc_vec ctx ~name ~home ~encode ~decode n init
+    alloc_vec_as Flag ctx ~name ~home ~encode:encode_flag ~decode:decode_flag n
+      init
 
   let pid_opt_vec ctx ~name ~home n init =
     let encode = function None -> -1 | Some p -> p in

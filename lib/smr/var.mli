@@ -31,6 +31,14 @@ val encode : 'a t -> 'a -> Op.value
 val decode : 'a t -> Op.value -> 'a
 (** Decode the cell representation; inverse of {!encode} on valid contents. *)
 
+(** What a reader may know of {!decode} without calling it. *)
+type 'a decoding =
+  | Flag : bool decoding
+      (** a {!Ctx.bool} or {!Ctx.bool_vec} cell: [decode v] is [v <> 0] *)
+  | Decoder : 'a decoding  (** any other cell: only {!decode} says *)
+
+val decoding : 'a t -> 'a decoding
+
 type 'a vec
 (** A contiguous range of cells sharing one base name and encoding — O(1)
     space regardless of length, unlike ['a t array] which materializes one
