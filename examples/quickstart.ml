@@ -31,11 +31,9 @@ let () =
   let run model_name model =
     let sim = Sim.create ~model ~layout ~n:2 in
     (* Let the waiter poll the flag three times in vain first. *)
-    let sim =
-      Sim.begin_call sim 1 ~label:"wait" (Program.map Fun.id waiter)
-    in
+    let sim = Sim.begin_call sim 1 ~label:"wait" waiter in
     let sim = List.fold_left (fun s () -> Sim.advance s 1) sim [ (); (); () ] in
-    let sim, _ = Sim.run_call sim 0 ~label:"signal" (Program.map (fun () -> 0) signaler) in
+    let sim, _ = Sim.run_call sim 0 ~label:"signal" (Program.of_unit signaler) in
     let sim = Sim.run_to_idle sim 1 in
     Fmt.pr "%-6s  signaler %d RMRs, waiter %d RMRs, note read = %d@."
       model_name (Sim.rmrs sim 0) (Sim.rmrs sim 1)

@@ -38,9 +38,7 @@ let fischer_forced_overlap ~delay =
   let lock = Sync.Fischer_lock.create_timed ctx ~n:2 ~delay in
   let layout = Var.Ctx.freeze ctx in
   let sim = Sim.create ~model:(Cost_model.dsm layout) ~layout ~n:2 in
-  let acquire p =
-    Program.map (fun () -> 0) (Sync.Fischer_lock.acquire lock p)
-  in
+  let acquire p = Program.of_unit (Sync.Fischer_lock.acquire lock p) in
   let sim = Sim.begin_call sim 0 ~label:"acquire" (acquire 0) in
   let sim = Sim.begin_call sim 1 ~label:"acquire" (acquire 1) in
   let sim = Sim.advance sim 0 (* p0 reads X = NIL *) in

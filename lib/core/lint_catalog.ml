@@ -1,9 +1,5 @@
 open Smr
 
-let unit_program p = Program.map (fun () -> 0) p
-
-let bool_program p = Program.map (fun b -> if b then 1 else 0) p
-
 (* One registry entry for a polling algorithm under the standard
    configuration (process 0 signals, the rest poll). *)
 let polling ?fuel ?unroll ~n ~claims (module P : Signaling.POLLING) =
@@ -15,10 +11,10 @@ let polling ?fuel ?unroll ~n ~claims (module P : Signaling.POLLING) =
     ~primitives:P.primitives ~claims
     [ { Analysis.Registry.label = "signal";
         pids = cfg.Signaling.signalers;
-        program = (fun p -> unit_program (P.signal t p)) };
+        program = (fun p -> Program.of_unit (P.signal t p)) };
       { Analysis.Registry.label = "poll";
         pids = cfg.Signaling.waiters;
-        program = (fun p -> bool_program (P.poll t p)) } ]
+        program = (fun p -> Program.of_bool (P.poll t p)) } ]
 
 let blocking ?fuel ?unroll ~n ~claims (module B : Signaling.BLOCKING) =
   let ctx = Var.Ctx.create () in
@@ -29,10 +25,10 @@ let blocking ?fuel ?unroll ~n ~claims (module B : Signaling.BLOCKING) =
     ~primitives:B.primitives ~claims
     [ { Analysis.Registry.label = "signal";
         pids = cfg.Signaling.signalers;
-        program = (fun p -> unit_program (B.signal t p)) };
+        program = (fun p -> Program.of_unit (B.signal t p)) };
       { Analysis.Registry.label = "wait";
         pids = cfg.Signaling.waiters;
-        program = (fun p -> unit_program (B.wait t p)) } ]
+        program = (fun p -> Program.of_unit (B.wait t p)) } ]
 
 let lock ?fuel ?unroll ~n ~claims (module L : Sync.Mutex_intf.LOCK) =
   let ctx = Var.Ctx.create () in
@@ -43,10 +39,10 @@ let lock ?fuel ?unroll ~n ~claims (module L : Sync.Mutex_intf.LOCK) =
     ~primitives:L.primitives ~claims
     [ { Analysis.Registry.label = "acquire";
         pids;
-        program = (fun p -> unit_program (L.acquire t p)) };
+        program = (fun p -> Program.of_unit (L.acquire t p)) };
       { Analysis.Registry.label = "release";
         pids;
-        program = (fun p -> unit_program (L.release t p)) } ]
+        program = (fun p -> Program.of_unit (L.release t p)) } ]
 
 let register ?(n = 4) () =
   let r = Analysis.Registry.register in

@@ -103,7 +103,7 @@ end
 let unit_call label pids program =
   { Analysis.Registry.label;
     pids;
-    program = (fun p -> Smr.Program.map (fun () -> 0) (program p)) }
+    program = (fun p -> Smr.Program.of_unit (program p)) }
 
 let register ~n =
   let signalers = [ 0 ] and waiters = List.init (n - 1) (fun i -> i + 1) in
@@ -125,11 +125,8 @@ let register ~n =
         [ unit_call "signal" signalers (Cas_flag.signal t);
           { Analysis.Registry.label = "poll";
             pids = waiters;
-            program =
-              (fun p ->
-                Smr.Program.map
-                  (fun b -> if b then 1 else 0)
-                  (Cas_flag.poll t p)) } ]));
+            program = (fun p -> Smr.Program.of_bool (Cas_flag.poll t p)) }
+        ]));
   let ctx = Var.Ctx.create () in
   let t = Amortized_scan.create ctx ~n in
   let layout = Var.Ctx.freeze ctx in
@@ -141,7 +138,4 @@ let register ~n =
          { Analysis.Registry.label = "poll";
            pids = waiters;
            program =
-             (fun p ->
-               Smr.Program.map
-                 (fun b -> if b then 1 else 0)
-                 (Amortized_scan.poll t p)) } ])
+             (fun p -> Smr.Program.of_bool (Amortized_scan.poll t p)) } ])

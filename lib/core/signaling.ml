@@ -295,8 +295,8 @@ let instantiate (module A : POLLING) ctx cfg =
   let t = A.create ctx cfg in
   { i_name = A.name;
     i_primitives = A.primitives;
-    i_poll = (fun p -> Program.map (fun b -> if b then 1 else 0) (A.poll t p));
-    i_signal = (fun p -> Program.map (fun () -> 0) (A.signal t p)) }
+    i_poll = (fun p -> Program.of_bool (A.poll t p));
+    i_signal = (fun p -> Program.of_unit (A.signal t p)) }
 
 type blocking_instance = {
   b_name : string;
@@ -310,5 +310,5 @@ let instantiate_blocking (module A : BLOCKING) ctx cfg =
   | Error msg -> invalid_arg ("Signaling.instantiate_blocking: " ^ msg));
   let t = A.create ctx cfg in
   { b_name = A.name;
-    b_wait = (fun p -> Program.map (fun () -> 0) (A.wait t p));
-    b_signal = (fun p -> Program.map (fun () -> 0) (A.signal t p)) }
+    b_wait = (fun p -> Program.of_unit (A.wait t p));
+    b_signal = (fun p -> Program.of_unit (A.signal t p)) }

@@ -9,8 +9,8 @@
    address for memory, dense int arrays indexed by pid for call state, so
    one step is O(1) work and the engine's own billing allocates nothing.
    A step still costs minor words — the program's Step node, continuation
-   and bind closures, and [Op.execute]'s result record: 24.0 words/step on
-   bench/suite's load-cc and 37.5 on load-dsm, constant in n and k.
+   and bind closures, and [Op.execute]'s result record: 8.0 words/step on
+   bench/suite's load-cc and 24.7 on load-dsm, constant in n and k.
 
    Equivalence contract (enforced by the differential suite in
    test/test_flat.ml): given the same layout, schedule and model, this
@@ -39,8 +39,9 @@
    Load-links use the same trick: [ll_epoch.(a)] is bumped by every
    nontrivial operation on [a] (which is exactly when {!Memory} empties the
    cell's link set, the writer's own link included), and a process's link
-   record [(a, stamp)] is valid iff the stamp still matches.  The records
-   are allocated by the first [Ll]; most catalog algorithms issue none. *)
+   record [(a, stamp)] is valid iff the stamp still matches.  The epochs
+   and the records are allocated by the first [Ll], and writes bump the
+   epochs only once they exist; most catalog algorithms issue none. *)
 
 type complete_cb =
   pid:Op.pid ->
@@ -94,10 +95,11 @@ type t = {
   spec : model_spec;
   (* --- flat memory (per address) --- *)
   values : int array;
-  ll_epoch : int array;
-  (* --- load-link records (per process, [ll_ways] slots) --- *)
+  (* --- load-links: epochs per address, records per process in [ll_ways]
+     slots; all three are [||] before the first Ll --- *)
+  mutable ll_epoch : int array;
   ll_ways : int;
-  mutable ll_addr : int array; (* n * ll_ways, -1 = free; [||] before any Ll *)
+  mutable ll_addr : int array; (* n * ll_ways, -1 = free *)
   mutable ll_stamp : int array;
   (* --- CC cache state (length-0 arrays under Dsm) --- *)
   ways : int;
@@ -156,7 +158,7 @@ let create ?(on_complete = nop_complete) ?counters ?(on_cache = nop_cache)
     size;
     spec = model;
     values;
-    ll_epoch = Array.make size 0;
+    ll_epoch = [||];
     ll_ways = min ll_ways size;
     ll_addr = [||];
     ll_stamp = [||];
@@ -214,6 +216,7 @@ let ll_valid t p a =
 
 let ll_record t p a =
   if Array.length t.ll_addr = 0 then begin
+    t.ll_epoch <- Array.make t.size 0;
     t.ll_addr <- Array.make (t.n * t.ll_ways) (-1);
     t.ll_stamp <- Array.make (t.n * t.ll_ways) 0
   end;
@@ -432,9 +435,11 @@ let advance t p =
     (match new_value with
     | Some v ->
       (* Nontrivial: overwrite and kill every load-link on the cell (the
-         writer's own included), as Memory does by emptying the link set. *)
+         writer's own included), as Memory does by emptying the link set.
+         Before the first Ll there is no link to kill. *)
       Array.unsafe_set t.values a v;
-      t.ll_epoch.(a) <- t.ll_epoch.(a) + 1
+      if Array.length t.ll_epoch > 0 then
+        t.ll_epoch.(a) <- t.ll_epoch.(a) + 1
     | None -> ( match inv with Op.Ll _ -> ll_record t p a | _ -> ()));
     let messages = account t p inv ~wrote:(new_value <> None) in
     let rmr = messages > 0 in
@@ -600,8 +605,8 @@ let restore t s =
   then invalid_arg "Flat_sim.restore: snapshot from a different machine shape";
   let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
   blit s.values t.values;
-  blit s.ll_epoch t.ll_epoch;
   (* Copied, not blitted: either side may predate the first [Ll]. *)
+  t.ll_epoch <- Array.copy s.ll_epoch;
   t.ll_addr <- Array.copy s.ll_addr;
   t.ll_stamp <- Array.copy s.ll_stamp;
   blit s.cache_addr t.cache_addr;

@@ -6,8 +6,8 @@
     process, so one step is O(1) work and the machine instantiates at
     n = 10^6 processes.  The engine's billing allocates nothing; a step
     still allocates what interpreting its program costs, plus the result
-    record of {!Op.execute} — 24.0 minor words per step on bench/suite's
-    load-cc workload and 37.5 on load-dsm, constant in n and k.  No
+    record of {!Op.execute} — 8.0 minor words per step on bench/suite's
+    load-cc workload and 24.7 on load-dsm, constant in n and k.  No
     history, no replay: {!Sim} remains the oracle for the adversary, the
     explorer and the differential tests.  CC billing applies
     {!Cc.decide}, the same protocol table {!Cc.model} applies. *)
@@ -141,9 +141,10 @@ val ll_valid : t -> Op.pid -> Op.addr -> bool
 val bytes_per_process : t -> int
 (** Resident engine state divided by [n]: the deterministic memory-footprint
     figure E14 reports.  It counts the capped cache ways, and the link
-    records only once the first [Ll] has allocated them: cc-flag under
-    write-through caches reads 98 at k = 10^4 (12 words and 2 bytes per
-    process), dsm-broadcast under DSM 90. *)
+    records and per-cell link epochs only once the first [Ll] has
+    allocated them: cc-flag under write-through caches reads 98 at
+    k = 10^4 (12 words and 2 bytes per process), dsm-broadcast under DSM
+    82. *)
 
 (** {1 Snapshot and restore}
 
@@ -162,8 +163,9 @@ val restore : t -> snapshot -> unit
 (** Overwrite the machine's state with the snapshot's.  The snapshot must
     come from a machine of the same shape (same [n], layout size, and
     [ways] and [ll_ways] after the cap at the layout size); raises
-    [Invalid_argument] otherwise.  Link records follow the snapshot: one
-    taken before the first [Ll] restores a machine that holds none.  The
+    [Invalid_argument] otherwise.  Link records and link epochs follow the
+    snapshot: one taken before the first [Ll] restores a machine that
+    holds neither.  The
     [on_complete] callback is untouched, and so are any attached
     {!Obs.Counters} planes: counter planes are observational (a record of
     what executed, replays included), not machine state. *)

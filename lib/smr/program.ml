@@ -23,6 +23,18 @@ let rec map f = function
   | Return x -> Return (f x)
   | Step (inv, k) -> Step (inv, fun v -> map f (k v))
 
+(* A bool or unit program as a value program, for free.  OCaml represents
+   [false], [true] and [()] as the immediates 0, 1 and 0 (the stdlib's
+   [Bool.to_int] is ["%identity"] for this reason), so a [bool t] or a
+   [unit t] already is, word for word, the [Op.value t] that
+   [map Bool.to_int] or [map (fun () -> 0)] rebuilds node by node, and a
+   pending call keeps none of [map]'s closures.  The cast is sound only
+   while [Op.value] is [int], which the witness below checks at compile
+   time. *)
+let _ : (Op.value, int) Type.eq = Type.Equal
+let of_bool : bool t -> Op.value t = Obj.magic
+let of_unit : unit t -> Op.value t = Obj.magic
+
 module Syntax = struct
   let ( let* ) = bind
   let ( let+ ) m f = map f m

@@ -17,6 +17,16 @@ val bind : 'a t -> ('a -> 'b t) -> 'b t
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 
+val of_bool : bool t -> Op.value t
+(** [of_bool m] behaves as [map Bool.to_int m] and costs nothing: it is the
+    identity on [m]'s words, since [false] and [true] are represented as the
+    values 0 and 1.  Instantiation hands a Poll() to the machines this way,
+    so a pending poll keeps no wrapper. *)
+
+val of_unit : unit t -> Op.value t
+(** [of_unit m] behaves as [map (fun () -> 0) m] and costs nothing, as
+    [of_bool] does: [()] is represented as 0. *)
+
 module Syntax : sig
   val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
   val ( let+ ) : 'a t -> ('a -> 'b) -> 'b t

@@ -48,14 +48,13 @@ let run (module G : Gme_intf.GME) ~model_of ~n ~entries ?(sessions = 2)
       let session = session_of p (entries - k) in
       Hashtbl.replace phase p (k, `Work);
       Start
-        ( Gme_intf.enter_label ~session,
-          Program.map (fun () -> 0) (G.enter g p ~session) )
+        (Gme_intf.enter_label ~session, Program.of_unit (G.enter g p ~session))
     | Some (k, `Work) ->
       Hashtbl.replace phase p (k, `Exit);
-      Start ("cs", Program.map (fun () -> 0) (cs_body p))
+      Start ("cs", Program.of_unit (cs_body p))
     | Some (k, `Exit) ->
       Hashtbl.replace phase p (k - 1, `Enter);
-      Start (Gme_intf.exit_label, Program.map (fun () -> 0) (G.exit g p))
+      Start (Gme_intf.exit_label, Program.of_unit (G.exit g p))
     | Some (_, `Enter) | None -> Stop
   in
   let sim = Schedule.run ~max_events ~policy ~behavior ~pids sim in

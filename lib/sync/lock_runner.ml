@@ -29,7 +29,7 @@ let run (module L : Mutex_intf.LOCK) ~model_of ~n ~entries
     match Hashtbl.find_opt remaining p with
     | Some k when k > 0 ->
       Hashtbl.replace remaining p (k - 1);
-      Start ("cs", Program.map (fun () -> 0) (E.entry ex p))
+      Start ("cs", Program.of_unit (E.entry ex p))
     | Some _ | None -> Stop
   in
   let sim = Schedule.run ~max_events ~policy ~behavior ~pids sim in

@@ -45,11 +45,11 @@ let make spec =
 let next_gap t rng =
   match t.spec with
   | Uniform g -> g
-  | Poisson mean -> int_of_float (Float.round (Rng.exponential rng ~mean))
+  | Poisson mean -> Rng.exponential_ticks rng ~mean
   | Bursty { burst; mean_lull } ->
     t.in_burst <- t.in_burst + 1;
     if t.in_burst < burst then 0
     else begin
       t.in_burst <- 0;
-      1 + int_of_float (Float.round (Rng.exponential rng ~mean:mean_lull))
+      1 + Rng.exponential_ticks rng ~mean:mean_lull
     end

@@ -6,7 +6,8 @@
     seed-created state and never from [Random] or wall time.  Splitmix64
     is one 64-bit add plus a mix per draw: full period and mixing good
     enough for workload shaping (arrival gaps and crash coins, not
-    cryptography). *)
+    cryptography).  The state is kept unboxed, so the draws the driver
+    makes ([int], [bool], [exponential_ticks]) allocate nothing. *)
 
 type t
 
@@ -28,6 +29,7 @@ val float : t -> float
 val bool : t -> float -> bool
 (** [bool t p] is true with probability [p] — a biased coin. *)
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed with the given mean: the inter-arrival gaps
-    of a Poisson process. *)
+val exponential_ticks : t -> mean:float -> int
+(** Exponentially distributed with the given mean, rounded to the nearest
+    integer: the inter-arrival gaps of a Poisson process, in whole ticks.
+    An int rather than a float, so that a draw boxes nothing. *)

@@ -378,10 +378,11 @@ let test_counters_match_trace () =
         model_pairs)
     Algorithms.polling_algorithms
 
-(* Link records are allocated by the first LL, so a snapshot taken before
-   it holds none.  Restoring such a snapshot must drop the links made
-   since (the next SC fails, as on a fresh machine), and restoring one
-   taken after an LL must bring its link back. *)
+(* Link records and the per-cell link epochs are allocated by the first LL,
+   so a snapshot taken before it holds neither.  Restoring such a snapshot
+   must drop the links made since (the next SC fails, as on a fresh
+   machine) and the epochs with them, and restoring one taken after an LL
+   must bring its link and the epochs back. *)
 let test_snapshot_across_first_ll () =
   let machine ?(cells = 1) ?(ll_ways = 4) ?(model = Flat_sim.Dsm) ~n () =
     let ctx = Var.Ctx.create () in
@@ -412,9 +413,17 @@ let test_snapshot_across_first_ll () =
     (sc flat x 5);
   Alcotest.(check int) "restored: same clock" (Flat_sim.clock fresh)
     (Flat_sim.clock flat);
+  (* One cell and two processes, so one link slot each after the cap: the
+     epochs add 1 word, the records 2 per slot. *)
+  let footprint = Flat_sim.bytes_per_process in
+  Alcotest.(check int) "restored: no link epochs or records" (footprint fresh)
+    (footprint flat);
   Flat_sim.restore flat after;
   Alcotest.(check bool) "link back" true
     (Flat_sim.ll_valid flat 0 (Var.addr x));
+  Alcotest.(check int) "link epochs and records back"
+    (footprint fresh + ((1 + (2 * 2)) * 8 / 2))
+    (footprint flat);
   Alcotest.(check (pair int int)) "SC succeeds" (1, 5) (sc flat x 5);
   (* Shape is n, layout size, and ways and link slots after the cap. *)
   let cc ways =

@@ -231,6 +231,61 @@ let prop_bind_assoc =
       let rhs = Program.bind m (fun x -> Program.bind (f x) g) in
       interpret ~respond lhs = interpret ~respond rhs)
 
+let prop_of_bool_of_unit =
+  (* [of_bool] and [of_unit] hand over the program's own words as a value
+     program.  On random programs built by binds from flag reads (whose
+     leaves are the shared [Return true] and [Return false]), CAS, TAS,
+     decoded reads, writes and returns, each must answer as the [map] it
+     replaces: the same invocation trace and the same result under
+     scripted responses. *)
+  qcheck "of_bool and of_unit behave as map"
+    QCheck.(pair (small_list (int_bound 5)) (small_list small_signed_int))
+    (fun (shape, script) ->
+      let ctx = Var.Ctx.create () in
+      let flag = Var.Ctx.bool ctx ~name:"f" ~home:Var.Shared false in
+      let x = Var.Ctx.int ctx ~name:"x" ~home:Var.Shared 0 in
+      let op = function
+        | 0 -> Program.read flag
+        | 1 -> Program.cas x ~expected:0 ~update:1
+        | 2 -> Program.test_and_set flag
+        | 3 ->
+          let+ v = Program.read x in
+          v > 0
+        | 4 ->
+          let* () = Program.write x 2 in
+          Program.return false
+        | _ -> Program.return true
+      in
+      (* Each answer picks the path on: the rest directly, or after a
+         write. *)
+      let rec build = function
+        | [] -> Program.read flag
+        | i :: rest ->
+          let* b = op i in
+          if b then build rest
+          else
+            let* () = Program.write flag true in
+            build rest
+      in
+      let m = build shape in
+      let u =
+        let* b = m in
+        Program.when_ b (Program.write x 3)
+      in
+      let run p =
+        let left = ref script in
+        interpret
+          ~respond:(fun _ ->
+            match !left with
+            | [] -> 0
+            | r :: rest ->
+              left := rest;
+              r)
+          p
+      in
+      run (Program.of_bool m) = run (Program.map Bool.to_int m)
+      && run (Program.of_unit u) = run (Program.map (fun () -> 0) u))
+
 let suite =
   [ case "return has no steps" test_return_has_no_steps;
     case "bind sequences" test_bind_sequences;
@@ -247,4 +302,5 @@ let suite =
     case "length_exn" test_length_exn;
     case "next_invocation" test_next_invocation;
     prop_map_laws;
-    prop_bind_assoc ]
+    prop_bind_assoc;
+    prop_of_bool_of_unit ]

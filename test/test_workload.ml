@@ -22,7 +22,14 @@ let test_rng_deterministic () =
     check_true (Rng.next a = Rng.next b)
   done;
   let c = Rng.create 43 in
-  check_true (Rng.next (Rng.create 42) <> Rng.next c)
+  check_true (Rng.next (Rng.create 42) <> Rng.next c);
+  (* The stream itself is pinned: every seeded output depends on it. *)
+  let r = Rng.create 42 in
+  let draws = List.init 3 (fun _ -> Rng.next r) in
+  Alcotest.(check (list int64))
+    "seed 42's first draws"
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ]
+    draws
 
 let test_rng_ranges () =
   let r = Rng.create 7 in
@@ -31,8 +38,30 @@ let test_rng_ranges () =
     check_true (i >= 0 && i < 13);
     let f = Rng.float r in
     check_true (f >= 0.0 && f < 1.0);
-    check_true (Rng.exponential r ~mean:2.0 >= 0.0)
+    check_true (Rng.exponential_ticks r ~mean:2.0 >= 0)
   done
+
+let test_rng_draws_allocate_nothing () =
+  (* The driver draws per arrival gap and per crash or leave coin.  With
+     the state in a mutable [int64] field and gaps returned as floats, an
+     [int] draw allocated 6 words, a coin 8 and a gap 10. *)
+  let r = Rng.create 11 in
+  let poisson = Arrivals.make (Arrivals.Poisson 2.0)
+  and bursty = Arrivals.make (Arrivals.Bursty { burst = 3; mean_lull = 4.0 }) in
+  let draws = 10_000 and sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    sum :=
+      !sum + Rng.int r 13
+      + Bool.to_int (Rng.bool r 0.3)
+      + Rng.exponential_ticks r ~mean:2.0
+      + Arrivals.next_gap poisson r + Arrivals.next_gap bursty r
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d rounds of draws" words draws)
+    true (words < 16.);
+  check_true (!sum > 0)
 
 (* --- stats --- *)
 
@@ -209,12 +238,15 @@ let test_driver_allocation_bounded () =
      caches, accounting, counter planes — is flat arrays and allocates
      nothing; what remains is the program interpretation (the Step node,
      its continuation, the bind closures, the vec handle) and
-     [Op.execute]'s result record.  Measured at k = 500 / 4000: 34.7 /
-     34.6 words/step for dsm-broadcast under DSM, 23.9 / 23.4 for cc-flag
+     [Op.execute]'s result record.  Measured at k = 500 / 4000: 24.2 /
+     24.1 words/step for dsm-broadcast under DSM, 9.5 / 9.0 for cc-flag
      under write-through caches, counters off or armed.  Every run must
-     stay below 48 and every cc-flag run below 28; a per-step debug name,
-     an extra bind per operation, or a decoding closure back on the flag
-     read of cc-flag's Poll() (29.8 / 29.4) breaks them. *)
+     stay below 28 and every cc-flag run below 12.  Each of these breaks
+     them: a [Program.map] from bool or unit to a value around every Poll()
+     and Signal() (33.8 / 33.6 and 20.5 / 20.0), an RNG state boxed on
+     every draw (cc-flag 12.9 / 12.4), a per-step debug name, an extra bind
+     per operation, or a decoding closure back on the flag read of
+     cc-flag's Poll(). *)
   let words_per_step ~algorithm ~model ~armed k =
     let sc = scenario ~algorithm ~model ~k () in
     let counters =
@@ -246,9 +278,9 @@ let test_driver_allocation_bounded () =
       bounded "4000" large;
       (* constant, not growing with k: allow generous jitter for GC noise *)
       check_true (large < small *. 2.0 +. 16.0))
-    [ ("dsm-broadcast", `Dsm, false, 48.0);
-      ("cc-flag", `Cc_wt, false, 28.0);
-      ("cc-flag", `Cc_wt, true, 28.0) ]
+    [ ("dsm-broadcast", `Dsm, false, 28.0);
+      ("cc-flag", `Cc_wt, false, 12.0);
+      ("cc-flag", `Cc_wt, true, 12.0) ]
 
 let test_flat_state_sized_by_reach () =
   (* [Flat_sim] caps a process's cache ways and link slots at the layout
@@ -282,8 +314,9 @@ let test_flat_state_sized_by_reach () =
       ("dsm-broadcast", `Dsm) ];
   (* The footprint at k = 10^4, per process: 9 words of call state and 2
      state bytes, plus cc-flag's one cache line (3 words) or
-     dsm-broadcast's cell and link epoch (2 words).  With 8 ways, 4 eager
-     link slots and the stored ordinals they read 354 and 170. *)
+     dsm-broadcast's cell (1 word); neither allocates link epochs.  With 8
+     ways, 4 eager link slots and the stored ordinals they read 354 and
+     170, and dsm-broadcast read 90 with eager link epochs. *)
   let bytes ~algorithm ~model =
     (run ~algorithm ~model 10_000).Driver.r_bytes_per_process
   in
@@ -293,7 +326,7 @@ let test_flat_state_sized_by_reach () =
       true (b <= bound)
   in
   at_most "cc-flag cc-wt/bus/w8" 98 (bytes ~algorithm:"cc-flag" ~model:`Cc_wt);
-  at_most "dsm-broadcast dsm" 90 (bytes ~algorithm:"dsm-broadcast" ~model:`Dsm);
+  at_most "dsm-broadcast dsm" 82 (bytes ~algorithm:"dsm-broadcast" ~model:`Dsm);
   (* llsc-register's link records appear with its first LL: a Signal()
      issues none, and a first Poll() reads and writes registered[p] before
      its LL on the head counter. *)
@@ -385,6 +418,7 @@ let test_timeline_sampled () =
 let suite =
   [ case "rng: seeded and deterministic" test_rng_deterministic;
     case "rng: ranges" test_rng_ranges;
+    case "rng: draws allocate nothing" test_rng_draws_allocate_nothing;
     case "stats: welford moments" test_stats_welford;
     case "stats: add_int allocates nothing" test_stats_add_int_no_alloc;
     case "arrivals: gap laws" test_arrivals_gaps;
